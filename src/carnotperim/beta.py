@@ -29,8 +29,12 @@ class BetaResult:
     value: Estimate
     argmax_t: float
     method: str  # convex_fast_path | grid_refine
-    omega: float  # beta itself, the ball constant for symmetric distances
     c_qm1: float  # omega / 2^(Q-1), the covering-normalization constant
+
+    @property
+    def omega(self) -> float:
+        """beta itself, the ball constant for symmetric distances."""
+        return self.value.value
 
     def as_dict(self):
         return {
@@ -94,8 +98,7 @@ def beta(
 
 
 def _result(model, nu, est, t_best, method):
-    omega = est.value
-    return BetaResult(nu, est, t_best, method, omega, omega / 2.0 ** (model.Q - 1))
+    return BetaResult(nu, est, t_best, method, est.value / 2.0 ** (model.Q - 1))
 
 
 def _mix(seed, key, salt):
@@ -202,19 +205,13 @@ def beta_constancy(
         return beta(gauge, dirs[d], n_samples=n_samples, seed=seed, key=(d,))
 
     results = ordered_map(one_direction, list(range(n_directions)), workers)
-    max_dev = 0.0
-    tol = 0.0
-    for i in range(n_directions):
-        for j in range(i + 1, n_directions):
-            dev = abs(results[i].value.value - results[j].value.value)
-            jt = 3.0 * joint_stderr(results[i].value, results[j].value)
+    max_dev = tol = 0.0
+    ok = True  # flat iff every pair individually passes its own joint allowance
+    for i, a in enumerate(results):
+        for b in results[i + 1 :]:
+            dev = abs(a.value.value - b.value.value)
+            jt = 3.0 * joint_stderr(a.value, b.value)
             max_dev = max(max_dev, dev)
             tol = max(tol, jt)
-    # flat iff every pair individually passes its own joint allowance
-    ok = all(
-        abs(results[i].value.value - results[j].value.value)
-        <= 3.0 * joint_stderr(results[i].value, results[j].value)
-        for i in range(n_directions)
-        for j in range(i + 1, n_directions)
-    )
+            ok = ok and dev <= jt
     return BetaConstancy(tuple(results), max_dev, tol, ok, seed)

@@ -53,7 +53,10 @@ def _parse_point(text, model):
 
 
 def _parse_radii(text):
-    t0, _, k = text.partition(":")
+    """T0:HALVINGS, the dyadic radii t0 * 2^-k for k = 0..HALVINGS."""
+    t0, sep, k = text.partition(":")
+    if not sep or not k.strip().isdecimal():
+        raise ValueError("--radii takes T0:HALVINGS with an integer HALVINGS >= 0, got %r" % text)
     return float(t0), int(k)
 
 
@@ -196,12 +199,9 @@ def cmd_blowup(args):
     point = _parse_point(args.point, model) if args.point else None
     spec = surfaces.parse_surface(model, args.surface, x=point)
     t0, halvings = _parse_radii(args.radii)
-    sched = federer.DensitySchedule(
-        tuple(t0 * 2.0**-k for k in range(halvings + 1)),
-        multistart_count=args.multistart,
-        local_steps=args.local_steps,
-        samples_per_ball=int(args.samples),
-        seed=args.seed,
+    sched = federer.default_schedule(
+        t0, halvings, samples_per_ball=int(args.samples), seed=args.seed,
+        multistart_count=args.multistart, local_steps=args.local_steps,
     )
     report = federer.federer_density(spec, gauge, sched=sched, workers=args.workers)
     meta = _resolved_config(args)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import takewhile
 
 import numpy as np
 
@@ -43,7 +44,9 @@ class DensitySchedule:
 
     def __post_init__(self):
         radii = tuple(float(t) for t in self.radii)
-        if not radii or any(t <= 0 for t in radii):
+        if not radii:
+            raise ValueError("a density schedule needs at least one radius")
+        if any(t <= 0 for t in radii):
             raise ValueError("radii must be positive")
         if list(radii) != sorted(radii, reverse=True) or len(set(radii)) != len(radii):
             raise ValueError("radii must be strictly decreasing")
@@ -129,26 +132,8 @@ def federer_density(
     Region errors at small radii truncate the schedule (flagged in the
     report) rather than aborting the run.
     """
-    if sched is None:
-        sched = default_schedule()
-    if x is not None and not np.allclose(np.asarray(x, float), spec.x, atol=1e-9):
-        raise ValueError("the graph parametrization is anchored at its base point")
-
-    def one_radius(item):
-        k, t = item
-        try:
-            return _radius_record(spec, gauge, t, sched, k, optimize=True)
-        except RegionError:
-            return None
-
-    raw = ordered_map(one_radius, list(enumerate(sched.radii)), workers)
-    records = []
-    truncated = False
-    for rec in raw:
-        if rec is None:
-            truncated = True
-            break
-        records.append(rec)
+    sched, raw = _radius_records(spec, gauge, x, sched, workers, optimize=True)
+    records = list(takewhile(lambda r: r is not None, raw))
     if not records:
         raise RegionError("no radius in the schedule produced a usable region")
 
@@ -179,7 +164,7 @@ def federer_density(
         extrap,
         centered_extrap,
         converged,
-        truncated,
+        len(records) < len(raw),
         sched.seed,
     )
 
@@ -191,7 +176,23 @@ def centered_density(
     sched: DensitySchedule | None = None,
     workers: int = 1,
 ) -> Estimate:
-    """Centered blow-up density: the ratio at y = spec.x, tail-extrapolated."""
+    """Centered blow-up density: the ratio at y = spec.x, tail-extrapolated.
+
+    Radii whose patch is refused are skipped.
+    """
+    sched, raw = _radius_records(spec, gauge, x, sched, workers, optimize=False)
+    records = [r for r in raw if r is not None]
+    if not records:
+        raise RegionError("no radius in the schedule produced a usable region")
+    return _tail_average([(r.centered_ratio, r.centered_stderr) for r in records], sched.seed)
+
+
+def _radius_records(spec, gauge, x, sched, workers, optimize):
+    """(schedule, one RadiusRecord per radius, None where RegionError refused it).
+
+    sched None means the default schedule; x, when given, must be the
+    surface's base point.
+    """
     if sched is None:
         sched = default_schedule()
     if x is not None and not np.allclose(np.asarray(x, float), spec.x, atol=1e-9):
@@ -200,15 +201,11 @@ def centered_density(
     def one_radius(item):
         k, t = item
         try:
-            return _radius_record(spec, gauge, t, sched, k, optimize=False)
+            return _radius_record(spec, gauge, t, sched, k, optimize)
         except RegionError:
             return None
 
-    raw = ordered_map(one_radius, list(enumerate(sched.radii)), workers)
-    records = [r for r in raw if r is not None]
-    if not records:
-        raise RegionError("no radius in the schedule produced a usable region")
-    return _tail_average([(r.centered_ratio, r.centered_stderr) for r in records], sched.seed)
+    return sched, ordered_map(one_radius, list(enumerate(sched.radii)), workers)
 
 
 def _radius_record(spec, gauge, t, sched, k, optimize):

@@ -171,10 +171,6 @@ class GroupModel:
             n = n1
         return t, n
 
-    def translate_many(self, z: Point, pts: Point) -> Point:
-        """Left translation z * pts for a single z and an array of points."""
-        return self.multiply(z, pts)
-
 
 def direction(model: GroupModel, v) -> np.ndarray:
     """Validate and return a unit horizontal direction (vector in V1)."""

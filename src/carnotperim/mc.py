@@ -3,6 +3,10 @@
 Every stochastic routine in the package draws from a generator keyed by
 (seed, *integer key path).  Results are therefore bit-identical for a given
 seed regardless of worker count or scheduling.
+
+The package's sampling kernel is ``box_batches``, uniform draws in an axis
+box in batches of BATCH rows, and ``hit_or_miss``, which integrates an
+indicator over the same batches into an Estimate.
 """
 
 from __future__ import annotations
@@ -48,11 +52,11 @@ def joint_stderr(*estimates) -> float:
     return math.hypot(*[e.stderr for e in estimates])
 
 
-def batch_sizes(n_samples: int, batch: int = BATCH):
+def _batch_sizes(n_samples: int):
     n = int(n_samples)
-    sizes = [batch] * (n // batch)
-    if n % batch:
-        sizes.append(n % batch)
+    sizes = [BATCH] * (n // BATCH)
+    if n % BATCH:
+        sizes.append(n % BATCH)
     return sizes
 
 
@@ -64,25 +68,41 @@ def ordered_map(fn, args_list, workers: int = 1):
         return list(pool.map(fn, args_list))
 
 
-def mean_estimate(weight_sums, volume: float, seed: int) -> Estimate:
-    """Combine per-batch (sum w, sum w^2, count) triples into an Estimate.
+def _box_draw(hw, size, seed, key, b):
+    return substream(seed, *key, b).uniform(-1.0, 1.0, size=(size, len(hw))) * hw
 
-    The estimated integral is volume * mean(w); batches are reduced in a
-    fixed order so the result does not depend on scheduling.
+
+def box_batches(hw, n_samples: int, seed: int, key: tuple = ()):
+    """Yield n_samples uniform points of the box prod [-hw_i, hw_i] in batches.
+
+    Batch b holds BATCH rows (the last one the remainder) drawn from
+    substream(seed, *key, b).
     """
-    sw = 0.0
-    sw2 = 0.0
-    n = 0
-    for bw, bw2, bn in weight_sums:
-        sw += bw
-        sw2 += bw2
-        n += bn
+    for b, size in enumerate(_batch_sizes(n_samples)):
+        yield _box_draw(hw, size, seed, key, b)
+
+
+def hit_or_miss(
+    hw, inside, n_samples: int, seed: int, key: tuple = (), workers: int = 1
+) -> Estimate:
+    """Volume of {inside} within the box prod [-hw_i, hw_i], by hit-or-miss.
+
+    inside maps a (k, len(hw)) batch of box_batches points to k booleans.
+    Batches may run on a thread pool; hit counts are reduced in batch order,
+    so the result does not depend on scheduling.
+    """
+    sizes = _batch_sizes(n_samples)
+    n = sum(sizes)
     if n == 0:
         return Estimate(0.0, 0.0, 0, seed)
-    mean = sw / n
-    if n > 1:
-        var = max(sw2 - sw * sw / n, 0.0) / (n - 1)
-        se = volume * math.sqrt(var / n)
-    else:
-        se = 0.0
-    return Estimate(volume * mean, se, n, seed)
+    hw = np.asarray(hw, dtype=float)
+
+    def count(item):
+        b, size = item
+        return int(np.count_nonzero(inside(_box_draw(hw, size, seed, key, b))))
+
+    hits = float(sum(ordered_map(count, list(enumerate(sizes)), workers)))
+    volume = float(np.prod(2.0 * hw))
+    # indicator weights: sum w^2 = sum w = hits
+    var = max(hits - hits * hits / n, 0.0) / (n - 1) if n > 1 else 0.0
+    return Estimate(volume * (hits / n), volume * math.sqrt(var / n), n, seed)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .gauges import Gauge
 from .groups import direction, vertical_complement
-from .mc import Estimate, batch_sizes, mean_estimate, ordered_map, substream
+from .mc import Estimate, hit_or_miss, ordered_map, substream
 
 DEFAULT_GRID = 41
 DEFAULT_SAMPLES = 100_000
@@ -96,18 +96,11 @@ def slice_area(
     if hw is None:
         return Estimate(0.0, 0.0, n_samples, seed)
     perp = vertical_complement(model, nu)
-    volume = float(np.prod(2.0 * hw))
 
-    def one_batch(item):
-        b, size = item
-        rng = substream(seed, *key, b)
-        coords = rng.uniform(-1.0, 1.0, size=(size, model.n - 1)) * hw
-        hits = gauge.in_ball(_slice_points(gauge, nu, perp, t, coords))
-        w = hits.astype(float)
-        return float(w.sum()), float(w.sum()), size  # w == w^2 for indicators
+    def inside(coords):
+        return gauge.in_ball(_slice_points(gauge, nu, perp, t, coords))
 
-    sums = ordered_map(one_batch, list(enumerate(batch_sizes(n_samples))), workers)
-    return mean_estimate(sums, volume, seed)
+    return hit_or_miss(hw, inside, n_samples, seed, key, workers)
 
 
 def slice_area_at_center(
@@ -135,16 +128,11 @@ def slice_area_at_center(
     if model.m2:
         z2 = np.linalg.norm(model.v2(z))
         hw[model.m1 - 1 :] = radii[1] + z2 + 0.5 * model.bracket_bound * z1 * (radii[0] + z1)
-    volume = float(np.prod(2.0 * hw))
 
-    sums = []
-    for b, size in enumerate(batch_sizes(int(n_samples))):
-        rng = substream(seed, *key, b)
-        coords = rng.uniform(-1.0, 1.0, size=(size, model.n - 1)) * hw
-        pts = _slice_points(gauge, nu, perp, 0.0, coords)
-        w = gauge.in_ball(pts, radius=1.0, center=z).astype(float)
-        sums.append((float(w.sum()), float(w.sum()), size))
-    return mean_estimate(sums, volume, seed)
+    def inside(coords):
+        return gauge.in_ball(_slice_points(gauge, nu, perp, 0.0, coords), radius=1.0, center=z)
+
+    return hit_or_miss(hw, inside, n_samples, seed, key)
 
 
 def support_radius(gauge: Gauge, nu, seed: int = 7, rel_tol: float = 1e-9) -> float:

@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import ast
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .exceptions import BracketError, ConformanceError, RegionError, RegularityError
 from .gauges import Gauge
 from .groups import GroupModel, embed_v1, vertical_complement
-from .mc import Estimate, batch_sizes, substream
+from .mc import Estimate, box_batches, substream
 
 FD_STEP = 1e-5
 GRAD_MIN = 1e-6
@@ -189,33 +189,14 @@ def graph_height(spec: SurfaceSpec, n_point, bracket: float) -> float:
     model = spec.model
     n_point = model.conform(np.asarray(n_point, dtype=float))
     base = model.multiply(spec.x, n_point)[None]
-    e1 = embed_v1(model, spec.nu0)[None]
-
-    def g(s):
-        return float(spec.f_many(model.multiply(base, s * e1))[0])
-
-    lo, hi = -float(bracket), float(bracket)
-    glo, ghi = g(lo), g(hi)
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
-    if glo * ghi > 0.0:
+    phi, bracketed = _graph_heights(spec, base, float(bracket), doublings=0)
+    if not bracketed[0]:
         raise BracketError("no sign change on [-%g, %g]: point outside the graph patch" % (bracket, bracket))
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if gm == 0.0:
-            lo = hi = mid
-            break
-        if (gm > 0.0) == (ghi > 0.0):
-            hi, ghi = mid, gm
-        else:
-            lo, glo = mid, gm
-    phi = 0.5 * (lo + hi)
-    if abs(g(phi)) > 1e-10:
-        raise BracketError("bisection stalled: residual %.3g" % abs(g(phi)))
-    return phi
+    root = model.multiply(base, phi[:, None] * embed_v1(model, spec.nu0))
+    residual = abs(float(spec.f_many(root)[0]))
+    if residual > 1e-10:
+        raise BracketError("bisection stalled: residual %.3g" % residual)
+    return float(phi[0])
 
 
 # --- patch sampling ------------------------------------------------------------
@@ -226,7 +207,8 @@ class PatchCloud:
     """A reusable Monte-Carlo cloud over the graph patch at scale t.
 
     points are Phi(eta) for uniform eta in the box; alpha is the perimeter
-    density; ok marks samples with a bracketed height and a usable density.
+    density; bracketed marks samples whose height bisection found a sign
+    change, and ok those of them with a usable density.
     Membership in any ball B(y, t) with y within t of the base point can be
     tested against this one cloud (common random numbers).
     """
@@ -236,6 +218,7 @@ class PatchCloud:
     points: np.ndarray
     alpha: np.ndarray
     ok: np.ndarray
+    bracketed: np.ndarray
     volume: float
     halfwidths: np.ndarray
     failures: int
@@ -324,64 +307,35 @@ def sample_patch(
             "the aligned derivative degenerates on %d reachable surface samples; "
             "the radius exceeds the graph patch" % int(degenerate.sum())
         )
-    return PatchCloud(
-        t,
-        cloud.eta_coords,
-        cloud.points,
-        cloud.alpha,
-        cloud.ok,
-        cloud.volume,
-        hw,
-        rel_failures,
-        expansions,
-        seed,
-    )
+    return replace(cloud, failures=rel_failures, expansions=expansions)
 
 
-@dataclass(eq=False)
-class _RawCloud:
-    eta_coords: np.ndarray
-    points: np.ndarray
-    alpha: np.ndarray
-    ok: np.ndarray
-    bracketed: np.ndarray
-    volume: float
-
-
-def _draw_cloud(spec, gauge, t, n_samples, hw, seed, key):
+def _draw_cloud(spec, gauge, t, n_samples, hw, seed, key) -> PatchCloud:
     model = spec.model
-    coords_list, pts_list, alpha_list, ok_list, br_list = [], [], [], [], []
-    for b, size in enumerate(batch_sizes(n_samples)):
-        rng = substream(seed, *key, b)
-        coords = rng.uniform(-1.0, 1.0, size=(size, model.n - 1)) * hw
-        eta = spec.embed_parameters(coords)
-        base = model.multiply(spec.x, eta)
-        phi, bracketed = _graph_heights(spec, base, t)
-        e1 = embed_v1(model, spec.nu0)
+    e1 = embed_v1(model, spec.nu0)
+    batches = []
+    for coords in box_batches(hw, n_samples, seed, key):
+        base = model.multiply(spec.x, spec.embed_parameters(coords))
+        phi, bracketed = _graph_heights(spec, base, BRACKET_FACTOR * t)
         pts = model.multiply(base, np.where(bracketed, phi, 0.0)[:, None] * e1)
         grads = spec.grad_many(pts)
         gn = np.linalg.norm(grads, axis=-1)
         x1f = grads @ spec.nu0
         good = bracketed & (x1f > 1e-9 * np.maximum(gn, 1.0))
-        alpha = np.zeros(size)
+        alpha = np.zeros(len(coords))
         alpha[good] = gn[good] / x1f[good]
-        coords_list.append(coords)
-        pts_list.append(pts)
-        alpha_list.append(alpha)
-        ok_list.append(good)
-        br_list.append(bracketed)
-    return _RawCloud(
-        np.concatenate(coords_list),
-        np.concatenate(pts_list),
-        np.concatenate(alpha_list),
-        np.concatenate(ok_list),
-        np.concatenate(br_list),
-        float(np.prod(2.0 * hw)),
-    )
+        batches.append((coords, pts, alpha, good, bracketed))
+    coords, pts, alpha, ok, bracketed = (np.concatenate(part) for part in zip(*batches))
+    return PatchCloud(t, coords, pts, alpha, ok, bracketed, float(np.prod(2.0 * hw)), hw, 0, 0, seed)
 
 
-def _graph_heights(spec, base, t):
-    """Vectorized bisection for the graph height over an array of N-points."""
+def _graph_heights(spec, base, half_width, doublings=BRACKET_DOUBLINGS):
+    """Vectorized bisection for the graph heights over an array of N-points.
+
+    Starts from the bracket [-half_width, half_width] and doubles it up to
+    `doublings` times where f shows no sign change; returns the heights and
+    the mask of samples that were bracketed.
+    """
     model = spec.model
     e1 = embed_v1(model, spec.nu0)
     k = base.shape[0]
@@ -389,11 +343,11 @@ def _graph_heights(spec, base, t):
     def g(s):
         return spec.f_many(model.multiply(base, s[:, None] * e1))
 
-    S = np.full(k, BRACKET_FACTOR * t)
+    S = np.full(k, half_width)
     glo = g(-S)
     ghi = g(S)
     no_flip = glo * ghi > 0.0
-    for _ in range(BRACKET_DOUBLINGS):
+    for _ in range(doublings):
         if not no_flip.any():
             break
         S[no_flip] *= 2.0
@@ -403,7 +357,7 @@ def _graph_heights(spec, base, t):
     bracketed = ~no_flip
     lo = -S.copy()
     hi = S.copy()
-    pos_hi = ghi > 0.0
+    pos_hi = (ghi > 0.0) | (glo < 0.0)  # g rises across the bracket, also when an end is a root
     for _ in range(BISECT_ITERS):
         mid = 0.5 * (lo + hi)
         gm = g(mid)

@@ -275,11 +275,7 @@ def blowup_suite(
             "truncated": rep.truncated,
         }
         if gauge.declared_v1_symmetric:
-            Q = gauge.model.Q
-            entry["ball_constants"] = {
-                "omega": b.value.value,
-                "c_qm1": b.value.value / 2.0 ** (Q - 1),
-            }
+            entry["ball_constants"] = {"omega": b.omega, "c_qm1": b.c_qm1}
         info["points"].append(entry)
     return _finish("blowup", checks, seed, info)
 

@@ -130,6 +130,14 @@ def test_blowup_csv(tmp_path):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize("radii", ["0.4", "0.4:-1"])
+def test_blowup_rejects_malformed_radii(radii, capsys):
+    code = main(["blowup", "--surface", "vplane:nu=1,0", "--gauge", "koranyi",
+                 "--radii", radii, "--samples", "5000"])
+    assert code == 1
+    assert "T0:HALVINGS" in capsys.readouterr().err
+
+
 def test_validate_gauge_json(tmp_path, capsys):
     code = main(["validate-gauge", "--gauge", "dinf:eps2=1000", "--samples", "5000"])
     assert code == 0  # violations are reported, not thrown

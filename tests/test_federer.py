@@ -27,6 +27,8 @@ def test_schedule_validation():
         DensitySchedule((0.4, 0.4))
     with pytest.raises(ValueError):
         DensitySchedule((0.1, 0.4))
+    with pytest.raises(ValueError, match="at least one radius"):
+        DensitySchedule(())
     s = default_schedule(t0=0.4, halvings=2)
     assert s.radii == (0.4, 0.2, 0.1)
 
@@ -83,6 +85,16 @@ def test_centered_density_function(h1, koranyi):
     surf = coordinate_plane(h1)
     est = centered_density(surf, koranyi, sched=small_sched(samples=40_000))
     assert abs(est.value - KORANYI_PSI0) <= max(0.05 * KORANYI_PSI0, 3.0 * est.stderr)
+
+
+def test_centered_density_equals_federer_centered_extrapolation(h1, koranyi):
+    # both run one per-radius driver; with no refused radius, skipping and
+    # truncating keep the same records, so the estimates agree exactly
+    sched = small_sched(samples=20_000)
+    for surf in (coordinate_plane(h1), vertical_plane(h1, [1.0, 0.0])):
+        rep = federer_density(surf, koranyi, sched=sched)
+        assert len(rep.records) == len(sched.radii)
+        assert centered_density(surf, koranyi, sched=sched) == rep.centered_extrapolated
 
 
 def test_running_sup_is_suffix_max(h1, koranyi):

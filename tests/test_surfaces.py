@@ -124,6 +124,13 @@ def test_graph_height_identity_is_zero_everywhere(h1):
         assert graph_height(surf, surf.model.identity(), 0.5) == pytest.approx(0.0, abs=1e-10)
 
 
+def test_graph_height_root_at_bracket_end(h1):
+    # the height -2 sig / (1 + tau) = +-0.5 sits exactly on an end of [-0.5, 0.5]
+    surf = coordinate_plane(h1)
+    assert graph_height(surf, np.array([0.0, 0.0, -0.25]), 0.5) == pytest.approx(0.5, abs=1e-12)
+    assert graph_height(surf, np.array([0.0, 0.0, 0.25]), 0.5) == pytest.approx(-0.5, abs=1e-12)
+
+
 def test_graph_height_bracket_error(h1):
     surf = coordinate_plane(h1)
     with pytest.raises(BracketError):
