@@ -52,6 +52,23 @@ def test_verify_determinism_byte_identical(tmp_path):
     assert read(a) == read(b)
 
 
+def test_verify_output_modes(tmp_path, capsys):
+    # --out: JSON to the file and the table to stdout; no --out: JSON on
+    # stdout by default, the table alone with --format csv
+    argv = ["verify", "--suite", "convexity", "--gauge", "koranyi", "--samples", "2000"]
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    table = capsys.readouterr().out
+    payload = json.loads(out.read_text())
+    assert set(payload) == {"config", "reports"}
+    assert table.startswith("suite convexity  outcome pass\n")
+    assert all(l.startswith("  [ok] ") for l in table.splitlines()[1:])
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out.read_text()
+    assert main(argv + ["--format", "csv"]) == 0
+    assert capsys.readouterr().out == table
+
+
 def test_beta_json_output(tmp_path):
     out = tmp_path / "beta.json"
     code = main(["beta", "--gauge", "koranyi", "--nu", "1,0",
