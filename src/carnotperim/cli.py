@@ -30,7 +30,7 @@ def _env_default(name, fallback, cast):
     return cast(raw)
 
 
-def _add_common(p, samples_default):
+def _add_common(p, samples_default, fmt):
     p.add_argument("--group", default=_env_default("group", "heisenberg:1", str),
                    help="group spec: heisenberg:n, abelian:m or a model file")
     p.add_argument("--gauge", default=_env_default("gauge", "koranyi", str),
@@ -41,7 +41,13 @@ def _add_common(p, samples_default):
     p.add_argument("--workers", type=int, default=_env_default("workers", 1, int),
                    help="concurrency cap; results are identical for any value")
     p.add_argument("--out", default=None, help="output file (default: stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
+    p.add_argument("--format", choices=("csv", "json"), default=fmt)
+
+
+def _add_guard(p):
+    p.add_argument("--calibration", default=None, help="calibration file for dinf gauges")
+    p.add_argument("--force", action="store_true",
+                   help="run on gauges that fail validation or lack a calibration")
 
 
 def _parse_nu(text, model):
@@ -61,17 +67,20 @@ def _parse_radii(text):
 
 
 def _resolved_config(args, skip=("out", "format", "func")):
-    cfg = {}
-    for k, v in sorted(vars(args).items()):
-        if k in skip or k.startswith("_"):
-            continue
-        cfg[k] = v
-    return cfg
+    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+
+
+def _write(path, text):
+    """Write text to the file at path, or to stdout when path is None."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _emit(args, meta, header, rows, json_obj):
-    fmt = args.format or getattr(args, "_default_format", "csv")
-    if fmt == "json":
+    if args.format == "json":
         payload = {"config": meta, "result": json_obj}
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
@@ -80,11 +89,7 @@ def _emit(args, meta, header, rows, json_obj):
         for row in rows:
             lines.append(",".join(_fmt(v) for v in row))
         text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, text)
 
 
 def _fmt(v):
@@ -168,7 +173,6 @@ def cmd_beta(args):
             result.method, result.omega, result.c_qm1,
         )
     ]
-    args._default_format = "json"
     _emit(args, meta, ("argmax_t", "beta", "stderr", "method", "omega", "c_qm1"),
           rows, result.as_dict())
     return 0
@@ -196,6 +200,7 @@ def cmd_beta_constancy(args):
 def cmd_blowup(args):
     model = groups.parse_group(args.group)
     gauge = gauges.parse_gauge(model, args.gauge)
+    _guard_gauge(args, gauge)
     point = _parse_point(args.point, model) if args.point else None
     spec = surfaces.parse_surface(model, args.surface, x=point)
     t0, halvings = _parse_radii(args.radii)
@@ -249,15 +254,12 @@ def cmd_verify(args):
             )
     table = "\n".join(lines) + "\n"
     payload = {"config": meta, "reports": [r.as_dict() for r in reports]}
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        sys.stdout.write(table)
+    json_text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if args.out:  # the report to the file, the table to stdout
+        _write(args.out, json_text)
+        _write(None, table)
     else:
-        if (args.format or "json") == "json":
-            sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        else:
-            sys.stdout.write(table)
+        _write(None, json_text if args.format == "json" else table)
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -266,7 +268,6 @@ def cmd_validate_gauge(args):
     gauge = gauges.parse_gauge(model, args.gauge)
     report = gauges.validate(gauge, samples=int(args.samples), seed=args.seed)
     meta = _resolved_config(args)
-    args._default_format = "json"
     rows = [
         (name, c["violations"], c["worst"], c["tolerance"])
         for name, c in report.checks.items()
@@ -280,7 +281,6 @@ def cmd_calibrate_dinf(args):
     grid = [float(v) for v in args.eps_grid.split(",")]
     result = gauges.calibrate_dinfty(model, grid, samples=int(args.samples), seed=args.seed)
     meta = _resolved_config(args)
-    args._default_format = "json"
     rows = [(e, e in result.passed) for e in result.grid]
     _emit(args, meta, ("eps2", "passed"), rows, result.as_dict())
     return 0
@@ -295,49 +295,48 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("slice-profile", help="sample the vertical slice-area profile")
-    _add_common(p, 100_000)
+    _add_common(p, 100_000, "csv")
     p.add_argument("--nu", default="1,0", help="horizontal direction, comma separated")
     p.add_argument("--grid", type=int, default=_env_default("grid", 41, int))
-    p.set_defaults(func=cmd_slice_profile, _default_format="csv")
+    p.set_defaults(func=cmd_slice_profile)
 
     p = sub.add_parser("beta", help="maximal vertical slice area for one direction")
-    _add_common(p, 100_000)
+    _add_common(p, 100_000, "json")
     p.add_argument("--nu", default="1,0")
     p.add_argument("--grid", type=int, default=_env_default("grid", 41, int))
-    p.add_argument("--calibration", default=None, help="calibration file for dinf gauges")
-    p.add_argument("--force", action="store_true", help="skip the calibration guard")
-    p.set_defaults(func=cmd_beta, _default_format="json")
+    _add_guard(p)
+    p.set_defaults(func=cmd_beta)
 
     p = sub.add_parser("beta-constancy", help="beta over random horizontal directions")
-    _add_common(p, 100_000)
+    _add_common(p, 100_000, "csv")
     p.add_argument("--directions", type=int, default=_env_default("directions", 8, int))
-    p.add_argument("--calibration", default=None)
-    p.add_argument("--force", action="store_true")
-    p.set_defaults(func=cmd_beta_constancy, _default_format="csv")
+    _add_guard(p)
+    p.set_defaults(func=cmd_beta_constancy)
 
     p = sub.add_parser("blowup", help="blow-up density of a surface perimeter")
-    _add_common(p, 200_000)
+    _add_common(p, 200_000, "csv")
     p.add_argument("--surface", default="tplane", help="vplane:nu=... | tplane | expr:<formula>")
     p.add_argument("--point", default=None, help="base point, comma separated")
     p.add_argument("--radii", default=_env_default("radii", "0.4:6", str), help="t0:halvings")
     p.add_argument("--multistart", type=int, default=5)
     p.add_argument("--local-steps", dest="local_steps", type=int, default=24)
-    p.set_defaults(func=cmd_blowup, _default_format="csv")
+    _add_guard(p)
+    p.set_defaults(func=cmd_blowup)
 
     p = sub.add_parser("verify", help="run verification suites")
-    _add_common(p, 50_000)
+    _add_common(p, 50_000, "json")
     p.add_argument("--suite", choices=("all", "convexity", "symmetry", "busemann", "blowup"),
                    default="all")
-    p.set_defaults(func=cmd_verify, _default_format="json")
+    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("validate-gauge", help="sampled homogeneous-distance axioms")
-    _add_common(p, 100_000)
-    p.set_defaults(func=cmd_validate_gauge, _default_format="json")
+    _add_common(p, 100_000, "json")
+    p.set_defaults(func=cmd_validate_gauge)
 
     p = sub.add_parser("calibrate-dinf", help="grid-search the dinf vertical constant")
-    _add_common(p, 20_000)
+    _add_common(p, 20_000, "json")
     p.add_argument("--eps-grid", dest="eps_grid", default="4,2,1,0.5,0.25")
-    p.set_defaults(func=cmd_calibrate_dinf, _default_format="json")
+    p.set_defaults(func=cmd_calibrate_dinf)
 
     return parser
 

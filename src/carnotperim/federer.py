@@ -12,13 +12,16 @@ scored against it (common random numbers), so candidate comparisons carry no
 independent noise and the centered ratio can never exceed the best ratio on
 the same cloud.  The tail of the schedule is extrapolated by inverse-variance
 averaging; no convergence rate is assumed.
+
+A radius whose patch is refused (RegionError; in practice the largest ones)
+is skipped, which keeps the small radii the blow-up limit and the tail
+average depend on; ``truncated`` flags that some radius was refused.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import takewhile
 
 import numpy as np
 
@@ -102,7 +105,7 @@ class DensityReport:
     extrapolated_theta: Estimate
     centered_extrapolated: Estimate
     tail_converged: bool
-    truncated: bool
+    truncated: bool  # at least one radius was refused and skipped
     seed: int
 
     def as_dict(self):
@@ -129,19 +132,54 @@ def federer_density(
 ) -> DensityReport:
     """Off-centered blow-up density of the surface perimeter at spec.x.
 
-    Region errors at small radii truncate the schedule (flagged in the
-    report) rather than aborting the run.
+    Radii whose patch is refused (RegionError) are skipped and the report is
+    flagged truncated; the run raises RegionError only when every radius is
+    refused.
     """
-    sched, raw = _radius_records(spec, gauge, x, sched, workers, optimize=True)
-    records = list(takewhile(lambda r: r is not None, raw))
+    return _density(spec, gauge, x, sched, workers, optimize=True)
+
+
+def centered_density(
+    spec: SurfaceSpec,
+    gauge: Gauge,
+    x: Point | None = None,
+    sched: DensitySchedule | None = None,
+    workers: int = 1,
+) -> Estimate:
+    """Centered blow-up density: the ratio at y = spec.x, tail-extrapolated.
+
+    Refused radii are skipped as in federer_density.
+    """
+    return _density(spec, gauge, x, sched, workers, optimize=False).centered_extrapolated
+
+
+def _density(spec, gauge, x, sched, workers, optimize):
+    """DensityReport over sched (None: the default), refused radii skipped.
+
+    x, when given, must be the surface's base point.  Without optimize only
+    the centre is scored.
+    """
+    if sched is None:
+        sched = default_schedule()
+    if x is not None and not np.allclose(np.asarray(x, float), spec.x, atol=1e-9):
+        raise ValueError("the graph parametrization is anchored at its base point")
+
+    def one_radius(item):
+        k, t = item
+        try:
+            return _radius_record(spec, gauge, t, sched, k, optimize)
+        except RegionError:
+            return None
+
+    raw = ordered_map(one_radius, list(enumerate(sched.radii)), workers)
+    records = [r for r in raw if r is not None]
     if not records:
         raise RegionError("no radius in the schedule produced a usable region")
 
-    ratios = [r.ratio for r in records]
     running = []
     acc = -math.inf
-    for r in reversed(ratios):
-        acc = max(acc, r)
+    for r in reversed(records):
+        acc = max(acc, r.ratio)
         running.append(acc)
     running.reverse()
 
@@ -167,45 +205,6 @@ def federer_density(
         len(records) < len(raw),
         sched.seed,
     )
-
-
-def centered_density(
-    spec: SurfaceSpec,
-    gauge: Gauge,
-    x: Point | None = None,
-    sched: DensitySchedule | None = None,
-    workers: int = 1,
-) -> Estimate:
-    """Centered blow-up density: the ratio at y = spec.x, tail-extrapolated.
-
-    Radii whose patch is refused are skipped.
-    """
-    sched, raw = _radius_records(spec, gauge, x, sched, workers, optimize=False)
-    records = [r for r in raw if r is not None]
-    if not records:
-        raise RegionError("no radius in the schedule produced a usable region")
-    return _tail_average([(r.centered_ratio, r.centered_stderr) for r in records], sched.seed)
-
-
-def _radius_records(spec, gauge, x, sched, workers, optimize):
-    """(schedule, one RadiusRecord per radius, None where RegionError refused it).
-
-    sched None means the default schedule; x, when given, must be the
-    surface's base point.
-    """
-    if sched is None:
-        sched = default_schedule()
-    if x is not None and not np.allclose(np.asarray(x, float), spec.x, atol=1e-9):
-        raise ValueError("the graph parametrization is anchored at its base point")
-
-    def one_radius(item):
-        k, t = item
-        try:
-            return _radius_record(spec, gauge, t, sched, k, optimize)
-        except RegionError:
-            return None
-
-    return sched, ordered_map(one_radius, list(enumerate(sched.radii)), workers)
 
 
 def _radius_record(spec, gauge, t, sched, k, optimize):

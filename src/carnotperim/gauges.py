@@ -73,22 +73,15 @@ class Gauge:
     @property
     def r0(self) -> float:
         """Radius of the horizontal trace of the unit ball along e1."""
-        return self._trace_radius(np.eye(self.model.m1)[0])
+        return float(self._trace_radius(np.eye(self.model.m1)[:1])[0])
 
-    def _trace_radius(self, u) -> float:
-        """sup { s : (s*u, 0) in unit ball } along a horizontal unit vector."""
-        hi = float(self.block_radii()[0]) * 1.001 + 1e-9
-        lo = 0.0
-        probe = lambda s: bool(self.in_ball(embed_v1(self.model, s * np.asarray(u))[None])[0])
-        if not probe(lo):
-            return 0.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if probe(mid):
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+    def _trace_radius(self, dirs) -> np.ndarray:
+        """sup { s : (s*u, 0) in unit ball } for each horizontal unit vector u.
+
+        Horizontal points dilate linearly, so by homogeneity the sup is
+        1 / ||(u, 0)||.
+        """
+        return 1.0 / self.norm_many(embed_v1(self.model, dirs))
 
     def norm_tolerance(self, scale: float = 1.0) -> float:
         """Absolute evaluation tolerance of norm_many at the given scale."""

@@ -54,6 +54,8 @@ def joint_stderr(*estimates) -> float:
 
 def _batch_sizes(n_samples: int):
     n = int(n_samples)
+    if n < 0:
+        raise ValueError("n_samples must be >= 0")
     sizes = [BATCH] * (n // BATCH)
     if n % BATCH:
         sizes.append(n % BATCH)

@@ -351,8 +351,8 @@ def _graph_heights(spec, base, half_width, doublings=BRACKET_DOUBLINGS):
         if not no_flip.any():
             break
         S[no_flip] *= 2.0
-        glo[no_flip] = g(-S)[no_flip]
-        ghi[no_flip] = g(S)[no_flip]
+        glo = np.where(no_flip, g(-S), glo)  # f's output may be read-only
+        ghi = np.where(no_flip, g(S), ghi)
         no_flip = glo * ghi > 0.0
     bracketed = ~no_flip
     lo = -S.copy()

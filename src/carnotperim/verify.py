@@ -18,7 +18,7 @@ from .federer import DensitySchedule, default_schedule, federer_density
 from .gauges import Gauge, convexity_sample, sample_in_ball
 from .mc import joint_stderr, substream
 from .slices import concavity_report, slice_profile
-from .surfaces import horizontal_normal
+from .surfaces import horizontal_normal, vertical_plane
 
 PASS, FAIL, SKIPPED = "pass", "fail", "hypothesis-unmet"
 
@@ -149,7 +149,7 @@ def symmetry_check(
     # condition (1): trace radii along sampled horizontal directions
     dirs = rng.standard_normal((64, model.m1))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    trace = np.array([gauge._trace_radius(u) for u in dirs])
+    trace = gauge._trace_radius(dirs)
     r0 = float(np.median(trace))
     trace_spread = float(trace.max() - trace.min())
     cond1a = trace_spread <= max(tol, 1e-7 * max(1.0, r0))
@@ -293,8 +293,6 @@ def run_all(
     workers: int = 1,
 ):
     """Run every suite against one gauge; returns the list of reports."""
-    from .surfaces import vertical_plane
-
     nu = np.zeros(model.m1)
     nu[0] = 1.0
     reports = [

@@ -83,11 +83,21 @@ def test_beta_json_output(tmp_path):
     )
 
 
+# a small blowup run for the gauge-guard cases
+BLOWUP_SMALL = ["blowup", "--surface", "vplane:nu=1,0", "--radii", "0.2:1",
+                "--samples", "2000", "--multistart", "1", "--local-steps", "2"]
+
+
 def test_beta_dinf_requires_calibration(tmp_path, capsys):
     code = main(["beta", "--gauge", "dinf:eps2=2", "--nu", "1,0", "--samples", "5000"])
     assert code == 1
     err = capsys.readouterr().err
     assert "calibrate-dinf" in err
+    # blowup applies the same guard
+    argv = BLOWUP_SMALL + ["--gauge", "dinf:eps2=2"]
+    assert main(argv) == 1
+    assert "calibrate-dinf" in capsys.readouterr().err
+    assert main(argv + ["--force", "--out", str(tmp_path / "b.csv")]) == 0
 
 
 def test_beta_dinf_with_calibration_file(tmp_path):
@@ -124,6 +134,11 @@ def test_beta_refuses_invalid_gauge(tmp_path, capsys):
     assert "validate-gauge" in capsys.readouterr().err
     out = tmp_path / "tb.json"
     assert main(argv + ["--force", "--out", str(out)]) == 0
+    # blowup applies the same guard
+    argv = BLOWUP_SMALL + ["--gauge", "twoball:r1=1,z1=-0.55,r2=0.5,z2=0.45"]
+    assert main(argv) == 1
+    assert "validate-gauge" in capsys.readouterr().err
+    assert main(argv + ["--force", "--out", str(tmp_path / "tb.csv")]) == 0
 
 
 def test_beta_constancy_csv(tmp_path):
@@ -145,6 +160,23 @@ def test_blowup_csv(tmp_path):
     lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     assert lines[0] == "t,ratio,stderr,centered_ratio,centered_stderr"
     assert len(lines) == 4
+
+
+def test_blowup_skips_refused_radii(tmp_path):
+    # t = 0.8 on tplane and t = 0.3 on the expr graph are refused; the
+    # smaller radii still give rows and the run exits 0
+    cases = (
+        (["--surface", "tplane", "--radii", "0.8:3", "--samples", "10000"],
+         ["0.4", "0.2", "0.1"]),
+        (["--surface", "expr:x3-0.2*x2^2", "--point", "1,0,0", "--radii", "0.3:2",
+          "--samples", "10000", "--multistart", "2", "--local-steps", "4"],
+         ["0.15", "0.075"]),
+    )
+    for i, (argv, radii) in enumerate(cases):
+        out = tmp_path / ("%d.csv" % i)
+        assert main(["blowup"] + argv + ["--out", str(out)]) == 0
+        rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+        assert [r.split(",")[0] for r in rows] == radii
 
 
 @pytest.mark.parametrize("radii", ["0.4", "0.4:-1"])

@@ -88,13 +88,21 @@ def test_centered_density_function(h1, koranyi):
 
 
 def test_centered_density_equals_federer_centered_extrapolation(h1, koranyi):
-    # both run one per-radius driver; with no refused radius, skipping and
-    # truncating keep the same records, so the estimates agree exactly
+    # both run one density driver with one failure policy (refused radii are
+    # skipped), so the centered estimates agree exactly, also when a radius
+    # is refused: on tplane the graph-height bisection fails at t = 0.8
     sched = small_sched(samples=20_000)
     for surf in (coordinate_plane(h1), vertical_plane(h1, [1.0, 0.0])):
         rep = federer_density(surf, koranyi, sched=sched)
         assert len(rep.records) == len(sched.radii)
+        assert not rep.truncated
         assert centered_density(surf, koranyi, sched=sched) == rep.centered_extrapolated
+    surf = coordinate_plane(h1)
+    sched = DensitySchedule((0.8, 0.4, 0.2, 0.1), 2, 4, 10_000, 7)
+    rep = federer_density(surf, koranyi, sched=sched)
+    assert tuple(r.t for r in rep.records) == (0.4, 0.2, 0.1)
+    assert rep.truncated
+    assert centered_density(surf, koranyi, sched=sched) == rep.centered_extrapolated
 
 
 def test_running_sup_is_suffix_max(h1, koranyi):

@@ -4,9 +4,12 @@ Each case runs one command through ``carnotperim.cli.main`` with ``--out``
 in a temporary directory and compares the file with ``tests/golden/<name>``.
 The sample counts are small, so the whole module runs in a few seconds.  A
 refactor that keeps the numbers keeps these files; a change that moves a
-digit on purpose regenerates them and explains the change:
+digit on purpose regenerates the goldens it moves, by name, and explains the
+change:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py blowup_tplane.csv
+
+With no name every golden is regenerated.
 """
 
 from __future__ import annotations
@@ -59,7 +62,12 @@ def test_golden_output(name, argv, tmp_path):
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or [name for name, _ in CASES]
+    unknown = set(names) - {name for name, _ in CASES}
+    if unknown:
+        sys.exit("unknown golden: %s" % ", ".join(sorted(unknown)))
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in CASES:
-        code = _run(argv, GOLDEN / name)
-        sys.stdout.write("%s: exit %d\n" % (name, code))
+        if name in names:
+            code = _run(argv, GOLDEN / name)
+            sys.stdout.write("%s: exit %d\n" % (name, code))

@@ -113,6 +113,9 @@ def test_translation_reduction(koranyi, h1):
         t = -float(z[0])
         viaprofile = slice_area(koranyi, nu, t, n_samples=150_000, seed=7, key=(i, 1))
         assert abs(direct.value - viaprofile.value) <= 3.0 * joint_stderr(direct, viaprofile)
+    # a negative sample count is refused instead of drawing a wrapped-around batch
+    with pytest.raises(ValueError, match="n_samples"):
+        slice_area_at_center(koranyi, nu, zs[0], n_samples=-5, seed=7)
 
 
 def test_mc_stderr_scaling(koranyi):
