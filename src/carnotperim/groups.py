@@ -121,9 +121,15 @@ class GroupModel:
 
     def bracket_v1(self, a, b) -> np.ndarray:
         """[a, b] for first-layer coefficient vectors a, b; lands in V2."""
-        if self.step == 1:
-            return np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b))[:-1] + (0,))
-        return np.einsum("...i,...j,ijk->...k", a, b, self.bracket)
+        a = np.asarray(a)
+        b = np.asarray(b)
+        out = np.zeros(np.broadcast_shapes(a.shape, b.shape)[:-1] + (self.m2,))
+        if self.step == 2:
+            # the sum of a_i b_j C[i,j] over the nonzero rows of the table, in
+            # the order einsum("...i,...j,ijk->...k") accumulates it
+            for i, j in zip(*np.nonzero(np.any(self.bracket != 0.0, axis=2))):
+                out += (a[..., i] * b[..., j])[..., None] * self.bracket[i, j]
+        return out
 
     def multiply(self, p: Point, q: Point) -> Point:
         """Group product p * q = p + q + 0.5 [p, q]."""
@@ -133,13 +139,7 @@ class GroupModel:
         q = self.conform(q)
         out = p + q
         if self.m2:
-            out = np.concatenate(
-                [
-                    self.v1(out),
-                    self.v2(out) + 0.5 * self.bracket_v1(self.v1(p), self.v1(q)),
-                ],
-                axis=-1,
-            )
+            out[..., self.m1 :] += 0.5 * self.bracket_v1(self.v1(p), self.v1(q))
         return out
 
     def inverse(self, p: Point) -> Point:

@@ -23,6 +23,7 @@ from .mc import Estimate, hit_or_miss, ordered_map, substream
 
 DEFAULT_GRID = 41
 DEFAULT_SAMPLES = 100_000
+OFF_AXIS_PROBES = 1024
 
 
 @dataclass(frozen=True)
@@ -138,23 +139,29 @@ def slice_area_at_center(
 def support_radius(gauge: Gauge, nu, seed: int = 7, rel_tol: float = 1e-9) -> float:
     """Largest |t| with a nonempty slice, located by bisection on emptiness.
 
-    Emptiness of the slice at t is probed on the slice center plus a seeded
-    vertical cloud; star-shapedness under dilations makes nonemptiness
-    monotone in |t|, so bisection applies.
+    Emptiness of the slice at t is probed on the slice center, a seeded
+    vertical cloud and a seeded cloud over the whole slice box (half of it at
+    vertical 0), which finds the widest slice also where it lies off the
+    nu-axis; star-shapedness under dilations makes nonemptiness monotone in
+    |t|, so bisection applies.
     """
     model = gauge.model
     nu = direction(model, nu)
     perp = vertical_complement(model, nu)
     radii = gauge.block_radii()
     hi = float(radii[0]) * (1.0 + 1e-9)
+    probes = [np.zeros((1, model.n - 1))]
+    off_axis = substream(seed, 998).uniform(-1.0, 1.0, size=(OFF_AXIS_PROBES, model.n - 1))
+    off_axis[:, : model.m1 - 1] *= radii[0]
     if model.m2:
         rng = substream(seed, 999)
-        cloud = rng.uniform(-1.0, 1.0, size=(128, model.n - 1))
-        cloud[:, : model.m1 - 1] = 0.0
-        cloud[:, model.m1 - 1 :] *= radii[1]
-        cloud = np.vstack([np.zeros(model.n - 1), cloud])
-    else:
-        cloud = np.zeros((1, model.n - 1))
+        vertical = rng.uniform(-1.0, 1.0, size=(128, model.n - 1))
+        vertical[:, : model.m1 - 1] = 0.0
+        vertical[:, model.m1 - 1 :] *= radii[1]
+        probes.append(vertical)
+        off_axis[:, model.m1 - 1 :] *= radii[1]
+        off_axis[: OFF_AXIS_PROBES // 2, model.m1 - 1 :] = 0.0
+    cloud = np.vstack(probes + [off_axis])
 
     def nonempty(t):
         return bool(gauge.in_ball(_slice_points(gauge, nu, perp, t, cloud)).any())

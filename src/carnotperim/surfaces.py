@@ -42,6 +42,7 @@ BRACKET_FACTOR = 6.0
 BRACKET_DOUBLINGS = 5
 BISECT_ITERS = 62
 FAIL_FRACTION = 1e-3
+SCORE_SLACK = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,6 +212,10 @@ class PatchCloud:
     change, and ok those of them with a usable density.
     Membership in any ball B(y, t) with y within t of the base point can be
     tested against this one cloud (common random numbers).
+
+    order lists the ok samples sorted by their coordinate on the horizontal
+    axis sort_axis, along which they spread widest, and sorted_points holds
+    their points in that order, so a ball can be scored on a window.
     """
 
     t: float
@@ -224,6 +229,9 @@ class PatchCloud:
     failures: int
     expansions: int
     seed: int
+    sort_axis: int = 0
+    order: np.ndarray | None = None
+    sorted_points: np.ndarray | None = None
 
     @property
     def n_samples(self) -> int:
@@ -267,14 +275,17 @@ def sample_patch(
     model = spec.model
     if t <= 0:
         raise ValueError("radius must be positive")
+    n_samples = int(n_samples)
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     bounds = _reach_bounds(spec, gauge, t)
     slack = np.full(model.n - 1, 0.5 * BOX_FACTOR)  # bounds already carry the factor 2
-    n_samples = int(n_samples)
     expansions = 0
     for attempt in range(MAX_BOX_ATTEMPTS):
         hw = slack * bounds
         cloud = _draw_cloud(spec, gauge, t, n_samples, hw, seed, key + (attempt,))
-        reach = gauge.in_ball(cloud.points, radius=2.0 * t, center=spec.x) & cloud.ok
+        near = gauge.in_ball(cloud.points, radius=2.0 * t, center=spec.x)
+        reach = near & cloud.ok
         if not reach.any():
             break
         touched = np.any(np.abs(cloud.eta_coords[reach]) > BOX_SHELL * hw, axis=0)
@@ -299,33 +310,43 @@ def sample_patch(
         )
     # bracketed surface points with a degenerate aligned derivative inside the
     # reach region would silently undercount the integral; refuse instead
-    degenerate = cloud.bracketed & ~cloud.ok & gauge.in_ball(
-        cloud.points, radius=2.0 * t, center=spec.x
-    )
+    degenerate = cloud.bracketed & ~cloud.ok & near
     if degenerate.any():
         raise RegionError(
             "the aligned derivative degenerates on %d reachable surface samples; "
             "the radius exceeds the graph patch" % int(degenerate.sum())
         )
-    return replace(cloud, failures=rel_failures, expansions=expansions)
+    ok_rows = np.flatnonzero(cloud.ok)
+    axis = 0
+    if len(ok_rows):  # column by column: a gathered copy of the ok points costs peak memory
+        axis = int(np.argmax([np.ptp(cloud.points[ok_rows, j]) for j in range(model.m1)]))
+    order = ok_rows[np.argsort(cloud.points[ok_rows, axis], kind="stable")]
+    return replace(cloud, failures=rel_failures, expansions=expansions,
+                   sort_axis=axis, order=order, sorted_points=cloud.points[order])
 
 
 def _draw_cloud(spec, gauge, t, n_samples, hw, seed, key) -> PatchCloud:
     model = spec.model
     e1 = embed_v1(model, spec.nu0)
-    batches = []
-    for coords in box_batches(hw, n_samples, seed, key):
-        base = model.multiply(spec.x, spec.embed_parameters(coords))
-        phi, bracketed = _graph_heights(spec, base, BRACKET_FACTOR * t)
-        pts = model.multiply(base, np.where(bracketed, phi, 0.0)[:, None] * e1)
-        grads = spec.grad_many(pts)
+    # filled batch by batch, so no second copy of the cloud is ever held
+    coords = np.empty((n_samples, model.n - 1))
+    pts = np.empty((n_samples, model.n))
+    alpha = np.zeros(n_samples)
+    ok = np.empty(n_samples, dtype=bool)
+    bracketed = np.empty(n_samples, dtype=bool)
+    start = 0
+    for batch in box_batches(hw, n_samples, seed, key):
+        rows = slice(start, start + len(batch))
+        start = rows.stop
+        base = model.multiply(spec.x, spec.embed_parameters(batch))
+        phi, found = _graph_heights(spec, base, BRACKET_FACTOR * t)
+        pts[rows] = model.multiply(base, np.where(found, phi, 0.0)[:, None] * e1)
+        grads = spec.grad_many(pts[rows])
         gn = np.linalg.norm(grads, axis=-1)
         x1f = grads @ spec.nu0
-        good = bracketed & (x1f > 1e-9 * np.maximum(gn, 1.0))
-        alpha = np.zeros(len(coords))
-        alpha[good] = gn[good] / x1f[good]
-        batches.append((coords, pts, alpha, good, bracketed))
-    coords, pts, alpha, ok, bracketed = (np.concatenate(part) for part in zip(*batches))
+        good = found & (x1f > 1e-9 * np.maximum(gn, 1.0))
+        np.divide(gn, x1f, out=alpha[rows], where=good)
+        coords[rows], bracketed[rows], ok[rows] = batch, found, good
     return PatchCloud(t, coords, pts, alpha, ok, bracketed, float(np.prod(2.0 * hw)), hw, 0, 0, seed)
 
 
@@ -334,14 +355,20 @@ def _graph_heights(spec, base, half_width, doublings=BRACKET_DOUBLINGS):
 
     Starts from the bracket [-half_width, half_width] and doubles it up to
     `doublings` times where f shows no sign change; returns the heights and
-    the mask of samples that were bracketed.
+    the mask of samples that were bracketed.  The group line s -> base * (s e1)
+    is affine in exponential coordinates, base + s (e1 + [base_1, e1] / 2), so
+    one bracket per sample serves every evaluation of f.
     """
     model = spec.model
-    e1 = embed_v1(model, spec.nu0)
     k = base.shape[0]
+    slope = np.empty_like(base)
+    slope[:, : model.m1] = spec.nu0
+    slope[:, model.m1 :] = 0.5 * model.bracket_v1(model.v1(base), spec.nu0)
 
     def g(s):
-        return spec.f_many(model.multiply(base, s[:, None] * e1))
+        pts = s[:, None] * slope
+        pts += base
+        return np.ascontiguousarray(spec.f_many(pts))  # f may return a view that pins pts
 
     S = np.full(k, half_width)
     glo = g(-S)
@@ -355,15 +382,15 @@ def _graph_heights(spec, base, half_width, doublings=BRACKET_DOUBLINGS):
         ghi = np.where(no_flip, g(S), ghi)
         no_flip = glo * ghi > 0.0
     bracketed = ~no_flip
-    lo = -S.copy()
-    hi = S.copy()
     pos_hi = (ghi > 0.0) | (glo < 0.0)  # g rises across the bracket, also when an end is a root
+    del glo, ghi, no_flip  # only pos_hi is needed from here on
+    lo, hi, mid = -S, S, np.empty(k)  # updated in place
     for _ in range(BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        go_hi = (gm > 0.0) == pos_hi
-        hi = np.where(go_hi, mid, hi)
-        lo = np.where(go_hi, lo, mid)
+        np.add(lo, hi, out=mid)
+        mid *= 0.5
+        go_hi = (g(mid) > 0.0) == pos_hi
+        np.copyto(hi, mid, where=go_hi)
+        np.copyto(lo, mid, where=~go_hi)
     phi = 0.5 * (lo + hi)
     return phi, bracketed
 
@@ -394,11 +421,30 @@ def ratio_on_cloud(cloud: PatchCloud, gauge: Gauge, y, spec: SurfaceSpec):
 
     Returns (ratio, stderr); y must lie within the cloud's coverage, i.e.
     within distance t of the surface base point.
+
+    B(y, t) lies in the translate by y of the box whose layer blocks are
+    bounded by the gauge's block radii at scale t, so only the ok samples in
+    that box's window along the cloud's sort axis are translated, only those
+    inside the box are tested by the gauge, and the hits are exactly those
+    of a scan of the whole cloud.
     """
     model = spec.model
     t = cloud.t
-    hits = gauge.in_ball(cloud.points, radius=t, center=y) & cloud.ok
-    w = np.where(hits, cloud.alpha, 0.0)
+    y = np.asarray(y, dtype=float)
+    radii = gauge.block_radii() * (1.0 + SCORE_SLACK)
+    h = t * radii[0]
+    key = cloud.sorted_points[:, cloud.sort_axis]
+    lo = np.searchsorted(key, y[cloud.sort_axis] - h, side="left")
+    hi = np.searchsorted(key, y[cloud.sort_axis] + h, side="right")
+    rel = model.multiply(model.inverse(y), cloud.sorted_points[lo:hi])
+    in_box = np.einsum("ij,ij->i", model.v1(rel), model.v1(rel)) <= h * h
+    if model.m2:
+        v = t * t * radii[1]
+        in_box &= np.einsum("ij,ij->i", model.v2(rel), model.v2(rel)) <= v * v
+    rows = np.flatnonzero(in_box)
+    hits = cloud.order[lo + rows[gauge.in_ball(rel[rows], radius=t)]]
+    w = np.zeros(cloud.n_samples)
+    w[hits] = cloud.alpha[hits]
     n = cloud.n_samples
     mean = w.sum() / n
     var = max(float((w * w).sum()) - n * mean * mean, 0.0) / max(n - 1, 1)

@@ -132,3 +132,33 @@ def test_anchor_point_enforced(h1, koranyi):
     plane = vertical_plane(h1, [1.0, 0.0])
     with pytest.raises(ValueError):
         federer_density(plane, koranyi, x=np.array([0.0, 0.3, 0.0]), sched=small_sched())
+
+
+def test_scoring_gauge_sees_under_a_tenth_of_the_cloud(h1, koranyi, monkeypatch):
+    # deterministic guard against a silent fallback to full-cloud scoring:
+    # count the rows ratio_on_cloud hands to the gauge per call
+    import carnotperim.federer as federer_module
+    from carnotperim.gauges import Gauge
+
+    per_call, active = [], []
+    real_ratio, real_in_ball = federer_module.ratio_on_cloud, Gauge.in_ball
+
+    def counted_ratio(*args):
+        active.append(0)
+        try:
+            return real_ratio(*args)
+        finally:
+            per_call.append(active.pop())
+
+    def counted_in_ball(self, pts, *args, **kwargs):
+        if active:
+            active[-1] += len(pts)
+        return real_in_ball(self, pts, *args, **kwargs)
+
+    monkeypatch.setattr(federer_module, "ratio_on_cloud", counted_ratio)
+    monkeypatch.setattr(Gauge, "in_ball", counted_in_ball)
+    samples = 20_000
+    sched = default_schedule(t0=0.2, halvings=1, samples_per_ball=samples, seed=7)
+    federer_density(coordinate_plane(h1), koranyi, sched=sched)
+    assert len(per_call) > 100
+    assert 0 < max(per_call) < 0.1 * samples

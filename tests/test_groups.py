@@ -61,6 +61,60 @@ def test_multiply_matches_symbolic_bch_h2():
         assert_allclose(h2.multiply(p, q), bch_oracle(h2, p, q), atol=1e-12)
 
 
+def einsum_bracket(model, a, b):
+    """The bracket as the three-operand contraction of the structure table."""
+    return np.einsum("...i,...j,ijk->...k", a, b, model.bracket)
+
+
+def test_bracket_matches_einsum_contraction(tmp_path):
+    rng = np.random.default_rng(21)
+    for model in (heisenberg(1), heisenberg(2)):
+        a = random_points(model, rng, 500)[:, : model.m1]
+        b = random_points(model, rng, 500)[:, : model.m1]
+        # bitwise, also with one operand a single vector and with nested batches
+        for x, y in ((a, b), (a[0], b), (a, b[0]), (a.reshape(25, 20, -1), b[:20])):
+            assert np.array_equal(model.bracket_v1(x, y), einsum_bracket(model, x, y))
+    # a dense antisymmetric table loaded from a file
+    m1, m2 = 4, 3
+    lines = ["layers: %d %d" % (m1, m2)]
+    for i in range(m1):
+        for j in range(i + 1, m1):
+            for k in range(m2):
+                lines.append("bracket: %d %d %d %r" % (i + 1, j + 1, k + 1, rng.normal()))
+    path = tmp_path / "dense.txt"
+    path.write_text("\n".join(lines) + "\n")
+    dense = parse_group(str(path))
+    a = rng.normal(size=(300, m1))
+    b = rng.normal(size=(300, m1))
+    assert_allclose(dense.bracket_v1(a, b), einsum_bracket(dense, a, b), rtol=1e-14, atol=1e-14)
+
+
+def test_multiply_leaves_inputs_unwritten(h1):
+    h2 = heisenberg(2)
+    rng = np.random.default_rng(22)
+    for model in (h1, h2):
+        p = random_points(model, rng, 50)
+        q = random_points(model, rng, 1)[0]
+        readonly = p.copy()
+        readonly.setflags(write=False)
+        for x, y in (
+            (p, q),
+            (q, p),
+            (p, p[::-1]),
+            (np.broadcast_to(q, p.shape), p),
+            (readonly, np.broadcast_to(q, p.shape)),
+            (p[:, None, :], p[None, :5, :]),
+        ):
+            before = (x.copy(), y.copy())
+            out = model.multiply(x, y)
+            assert np.array_equal(x, before[0]) and np.array_equal(y, before[1])
+            assert not np.shares_memory(out, x) and not np.shares_memory(out, y)
+            assert_allclose(out, before[0] + before[1] + np.concatenate(
+                [np.zeros(np.shape(out)[:-1] + (model.m1,)),
+                 0.5 * einsum_bracket(model, before[0][..., : model.m1],
+                                      before[1][..., : model.m1])], axis=-1), atol=1e-12)
+
+
 def test_inverse_is_exact_negation(h1):
     assert_allclose(h1.inverse(np.array([1.0, 1.0, 0.5])), [-1.0, -1.0, -0.5])
     assert_allclose(h1.inverse(h1.identity()), h1.identity())

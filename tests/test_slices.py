@@ -3,6 +3,7 @@ import pytest
 from scipy import integrate
 
 from carnotperim import (
+    AnisotropicGauge,
     concavity_report,
     slice_area,
     slice_profile,
@@ -148,6 +149,16 @@ def test_support_radius(koranyi, dinf2, twoball, disc):
     assert support_radius(disc, [1.0, 0.0]) == pytest.approx(1.0, abs=1e-6)
     # the two-ball body reaches |t| = max radius through off-axis points
     assert support_radius(twoball, [1.0, 0.0]) == pytest.approx(1.0, abs=1e-3)
+
+
+def test_support_radius_off_axis(h1):
+    # the stretched gauge's widest slice along (1,1)/sqrt2 lies off the nu-axis:
+    # sup <x1, nu> over |W x1| <= 1 is |W^-1 nu| = 1/sqrt(1.6) with W = diag(1, 2)
+    aniso = AnisotropicGauge(h1, scale=2.0)
+    nu = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    T = support_radius(aniso, nu)
+    assert abs(T - 1.0 / np.sqrt(1.6)) <= 1e-3
+    assert slice_area(aniso, nu, 1.01 * T, 20_000, seed=7).value == 0.0
 
 
 def test_profile_shape_and_grid(koranyi):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,6 +13,7 @@ from carnotperim import (
     graph_height,
     horizontal_normal,
     make_surface,
+    parse_gauge,
     parse_surface,
     perimeter_ball,
     slice_area,
@@ -18,7 +21,7 @@ from carnotperim import (
 )
 from carnotperim.groups import embed_v1
 from carnotperim.mc import joint_stderr
-from carnotperim.surfaces import sample_patch
+from carnotperim.surfaces import BISECT_ITERS, _graph_heights, ratio_on_cloud, sample_patch
 
 
 
@@ -131,6 +134,38 @@ def test_graph_height_root_at_bracket_end(h1):
     assert graph_height(surf, np.array([0.0, 0.0, 0.25]), 0.5) == pytest.approx(-0.5, abs=1e-12)
 
 
+def multiply_line_heights(spec, base, half_width):
+    """_graph_heights without doublings, f evaluated at base * (s e1) by the group law."""
+    model = spec.model
+    e1 = embed_v1(model, spec.nu0)
+
+    def g(s):
+        return spec.f_many(model.multiply(base, s[:, None] * e1))
+
+    S = np.full(len(base), half_width)
+    glo, ghi = g(-S), g(S)
+    lo, hi = -S, S.copy()
+    pos_hi = (ghi > 0.0) | (glo < 0.0)
+    for _ in range(BISECT_ITERS):
+        mid = 0.5 * (lo + hi)
+        go_hi = (g(mid) > 0.0) == pos_hi
+        hi = np.where(go_hi, mid, hi)
+        lo = np.where(go_hi, lo, mid)
+    return 0.5 * (lo + hi), ~(glo * ghi > 0.0)
+
+
+@pytest.mark.parametrize("surface", ["tplane", "vplane:nu=1,0"])
+def test_graph_heights_on_affine_line_are_bitwise(h1, surface):
+    spec = parse_surface(h1, surface)
+    coords = np.random.default_rng(33).uniform(-0.5, 0.5, size=(4000, h1.n - 1))
+    base = h1.multiply(spec.x, spec.embed_parameters(coords))
+    phi, bracketed = _graph_heights(spec, base, 0.4, doublings=0)
+    ref_phi, ref_bracketed = multiply_line_heights(spec, base, 0.4)
+    assert 0 < bracketed.sum() <= len(base)
+    assert np.array_equal(bracketed, ref_bracketed)
+    assert np.array_equal(phi, ref_phi)
+
+
 def test_graph_height_bracket_error(h1):
     surf = coordinate_plane(h1)
     with pytest.raises(BracketError):
@@ -225,6 +260,49 @@ def test_patch_cloud_reuse_and_failures(h1, koranyi):
     assert cloud.failures == 0
     assert cloud.n_samples == 50_000
     assert cloud.volume > 0
+    with pytest.raises(ValueError, match="n_samples"):
+        sample_patch(surf, koranyi, 0.2, 0, seed=7)
+
+
+def full_scan_ratio(cloud, gauge, y, spec):
+    """ratio_on_cloud's statistic with every ok sample of the cloud tested."""
+    t = cloud.t
+    hits = gauge.in_ball(cloud.points, radius=t, center=y) & cloud.ok
+    w = np.where(hits, cloud.alpha, 0.0)
+    n = cloud.n_samples
+    mean = w.sum() / n
+    var = max(float((w * w).sum()) - n * mean * mean, 0.0) / max(n - 1, 1)
+    scale = cloud.volume / t ** (spec.model.Q - 1)
+    return float(mean * scale), float(math.sqrt(var / n) * scale)
+
+
+@pytest.mark.parametrize(
+    "group, gauge_spec, surface",
+    [
+        ("h1", gauge_spec, surface)
+        for gauge_spec in ("koranyi", "dinf:eps2=0.5", "aniso:scale=2", "starball:rho=0.5",
+                           "twoball")
+        for surface in ("tplane", "vplane:nu=1,1")
+    ]
+    + [("r2", "euclidean", "vplane:nu=1,1")],
+)
+def test_ratio_on_cloud_matches_full_scan(request, group, gauge_spec, surface):
+    model = request.getfixturevalue(group)
+    gauge = parse_gauge(model, gauge_spec)
+    spec = parse_surface(model, surface)
+    rng = np.random.default_rng(32)
+    for t in (0.2, 0.03):
+        cloud = sample_patch(spec, gauge, t, 5000, seed=7)
+        centres = [spec.x]
+        for i in range(12):
+            w = rng.uniform(-1.0, 1.0, model.n) * gauge.ball_box_halfwidths()
+            nw = gauge.norm(w)
+            if i % 2 == 0 or nw > 1.0:  # even draws on the edge of B(x, t)
+                w = model.dilate(1.0 / nw, w)
+            centres.append(model.multiply(spec.x, model.dilate(t, w)))
+        scores = [ratio_on_cloud(cloud, gauge, y, spec) for y in centres]
+        assert scores == [full_scan_ratio(cloud, gauge, y, spec) for y in centres]
+        assert scores[0][0] > 0.0
 
 
 def test_quadratic_graph_gradient_matches_fd(h1):
