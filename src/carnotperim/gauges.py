@@ -28,6 +28,19 @@ from .mc import substream
 _STAR_TOL = 1e-10
 
 
+def _sum_sq(x):
+    """Sum of squares over the last axis, added column by column in index order.
+
+    einsum adds a contiguous row in SIMD lanes but a strided one in index
+    order, so its bits depend on the memory layout once a row has three or
+    more entries; this order is the same for every layout.
+    """
+    out = x[..., 0] * x[..., 0]
+    for i in range(1, x.shape[-1]):
+        out += x[..., i] * x[..., i]
+    return out
+
+
 class Gauge:
     """Base class; concrete gauges implement norm_many and block_radii."""
 
@@ -110,8 +123,8 @@ class KoranyiGauge(Gauge):
 
     def norm_many(self, pts):
         pts = self.model.conform(pts)
-        a = np.einsum("...i,...i->...", self.model.v1(pts), self.model.v1(pts))
-        b = np.einsum("...i,...i->...", self.model.v2(pts), self.model.v2(pts))
+        a = _sum_sq(self.model.v1(pts))
+        b = _sum_sq(self.model.v2(pts))
         return (a * a + 16.0 * b) ** 0.25
 
     def block_radii(self):
@@ -196,9 +209,8 @@ class AnisotropicGauge(Gauge):
 
     def norm_many(self, pts):
         pts = self.model.conform(pts)
-        h = self.model.v1(pts) * self._weights
-        a = np.einsum("...i,...i->...", h, h)
-        b = np.einsum("...i,...i->...", self.model.v2(pts), self.model.v2(pts))
+        a = _sum_sq(self.model.v1(pts) * self._weights)
+        b = _sum_sq(self.model.v2(pts))
         return (a * a + 16.0 * b) ** 0.25
 
     def block_radii(self):
@@ -304,7 +316,9 @@ class StarBodyGauge(Gauge):
         pts = self.model.conform(pts)
         if center is not None:
             pts = self.model.multiply(self.model.inverse(center), pts)
-        return np.asarray(self.oracle(self.model.dilate(1.0 / radius, pts)), dtype=bool)
+        if radius != 1.0:  # the unit dilation only multiplies by 1.0
+            pts = self.model.dilate(1.0 / radius, pts)
+        return np.asarray(self.oracle(pts), dtype=bool)
 
     def block_radii(self):
         return self._block_radii

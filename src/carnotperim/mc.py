@@ -6,7 +6,10 @@ seed regardless of worker count or scheduling.
 
 The package's sampling kernel is ``box_batches``, uniform draws in an axis
 box in batches of BATCH rows, and ``hit_or_miss``, which integrates an
-indicator over the same batches into an Estimate.
+indicator over the same batches into an Estimate.  Both draw through
+``_box_columns``; hit-or-miss walks each batch in column-major blocks of
+BLOCK rows, so its working set stays in cache while the draws and hit
+counts are those of the whole batch.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 BATCH = 1 << 16
+BLOCK = 1 << 12
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -70,18 +74,32 @@ def ordered_map(fn, args_list, workers: int = 1):
         return list(pool.map(fn, args_list))
 
 
-def _box_draw(hw, size, seed, key, b):
-    return substream(seed, *key, b).uniform(-1.0, 1.0, size=(size, len(hw))) * hw
+def _box_columns(rng, hw, raw, cols):
+    """Fill cols, a (d, k) array, with k uniform points of the box
+    prod [-hw_i, hw_i], one point per column; raw is k*d scratch.
+
+    The numbers are those of rng.uniform(-1, 1, (k, d)) * hw, taken row by
+    row: uniform(-1, 1) is -1 + 2 random(), and the generator is sequential,
+    so consecutive calls continue one batch's draws.
+    """
+    rng.random(out=raw)
+    np.copyto(cols, raw.reshape(cols.shape[::-1]).T)
+    cols *= 2.0
+    cols -= 1.0
+    cols *= hw[:, None]
+    return cols
 
 
 def box_batches(hw, n_samples: int, seed: int, key: tuple = ()):
     """Yield n_samples uniform points of the box prod [-hw_i, hw_i] in batches.
 
     Batch b holds BATCH rows (the last one the remainder) drawn from
-    substream(seed, *key, b).
+    substream(seed, *key, b), as a column-major (rows, len(hw)) array.
     """
+    hw = np.asarray(hw, dtype=float)
     for b, size in enumerate(_batch_sizes(n_samples)):
-        yield _box_draw(hw, size, seed, key, b)
+        cols = np.empty((len(hw), size))
+        yield _box_columns(substream(seed, *key, b), hw, np.empty(cols.size), cols).T
 
 
 def hit_or_miss(
@@ -89,19 +107,30 @@ def hit_or_miss(
 ) -> Estimate:
     """Volume of {inside} within the box prod [-hw_i, hw_i], by hit-or-miss.
 
-    inside maps a (k, len(hw)) batch of box_batches points to k booleans.
-    Batches may run on a thread pool; hit counts are reduced in batch order,
-    so the result does not depend on scheduling.
+    inside maps a column-major (k, len(hw)) block of at most BLOCK points to
+    k booleans.  Each batch of box_batches is drawn and tested block by block
+    from its own substream, so the points are those of box_batches.  Batches
+    may run on a thread pool, each with its own buffers; hit counts are
+    reduced in batch order, so the result does not depend on scheduling.
     """
     sizes = _batch_sizes(n_samples)
     n = sum(sizes)
     if n == 0:
         return Estimate(0.0, 0.0, 0, seed)
     hw = np.asarray(hw, dtype=float)
+    d = len(hw)
 
     def count(item):
         b, size = item
-        return int(np.count_nonzero(inside(_box_draw(hw, size, seed, key, b))))
+        rng = substream(seed, *key, b)
+        raw = np.empty(min(size, BLOCK) * d)
+        cols = np.empty(raw.size)
+        hits = 0
+        for start in range(0, size, BLOCK):
+            k = min(BLOCK, size - start)
+            block = _box_columns(rng, hw, raw[: k * d], cols[: k * d].reshape(d, k))
+            hits += int(np.count_nonzero(inside(block.T)))
+        return hits
 
     hits = float(sum(ordered_map(count, list(enumerate(sizes)), workers)))
     volume = float(np.prod(2.0 * hw))

@@ -64,14 +64,20 @@ def _slice_box(gauge: Gauge, t: float):
 
 
 def _slice_points(gauge, nu, perp, t, coords):
-    """Embed hyperplane coordinates as ambient points t*nu + s + u."""
+    """Embed hyperplane coordinates as ambient points t*nu + s + u.
+
+    The points come back column-major, as the .T view of an (n, k) array,
+    so every coordinate is one contiguous run for the gauge.
+    """
     model = gauge.model
-    k = coords.shape[0]
-    pts = np.empty((k, model.n))
-    pts[:, : model.m1] = t * nu + coords[:, : model.m1 - 1] @ perp
+    cols = coords.T
+    pts = np.empty((model.n, coords.shape[0]))
+    h = pts[: model.m1]
+    np.matmul(perp.T, cols[: model.m1 - 1], out=h)
+    h += (t * nu)[:, None]
     if model.m2:
-        pts[:, model.m1 :] = coords[:, model.m1 - 1 :]
-    return pts
+        pts[model.m1 :] = cols[model.m1 - 1 :]
+    return pts.T
 
 
 def slice_area(
@@ -143,13 +149,18 @@ def support_radius(gauge: Gauge, nu, seed: int = 7, rel_tol: float = 1e-9) -> fl
     vertical cloud and a seeded cloud over the whole slice box (half of it at
     vertical 0), which finds the widest slice also where it lies off the
     nu-axis; star-shapedness under dilations makes nonemptiness monotone in
-    |t|, so bisection applies.
+    |t|, so bisection applies.  The best probe is then refined by compass
+    search over its horizontal coordinates, where a random cloud is thin
+    once nu-perp has more than one dimension; the bound moves only when the
+    refined probe, dilated to the slice at (1 + 1e-6) times the upper end of
+    the first bisection, lies in the ball, and then bisection continues
+    along the refined probe's dilation ray.
     """
     model = gauge.model
     nu = direction(model, nu)
     perp = vertical_complement(model, nu)
     radii = gauge.block_radii()
-    hi = float(radii[0]) * (1.0 + 1e-9)
+    top = float(radii[0]) * (1.0 + 1e-9)
     probes = [np.zeros((1, model.n - 1))]
     off_axis = substream(seed, 998).uniform(-1.0, 1.0, size=(OFF_AXIS_PROBES, model.n - 1))
     off_axis[:, : model.m1 - 1] *= radii[0]
@@ -168,16 +179,66 @@ def support_radius(gauge: Gauge, nu, seed: int = 7, rel_tol: float = 1e-9) -> fl
 
     if not nonempty(0.0):
         return 0.0
-    lo = 0.0
+    lo, hi = _bisect(nonempty, 0.0, top, rel_tol)
+    if lo > 0.0:
+        # slice coordinates scale like the dilation weights (1 horizontal, 2 vertical)
+        weights = model.dilation_weights[1:]
+        witnesses = cloud[gauge.in_ball(_slice_points(gauge, nu, perp, lo, cloud))]
+        ray = _refined_probe(gauge, nu, perp, witnesses / lo**weights)
+
+        def on_ray(t):
+            return bool(gauge.in_ball(_slice_points(gauge, nu, perp, t, ray * t**weights))[0])
+
+        beyond = hi * (1.0 + 1e-6)
+        if on_ray(beyond):
+            lo, hi = _bisect(on_ray, beyond, top, rel_tol)
+    return 0.5 * (lo + hi)
+
+
+def _bisect(pred, lo, hi, rel_tol):
+    """Shrink [lo, hi] around the point where pred turns false, pred(lo) true."""
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if nonempty(mid):
+        if pred(mid):
             lo = mid
         else:
             hi = mid
         if hi - lo <= rel_tol * max(1.0, hi):
             break
-    return 0.5 * (lo + hi)
+    return lo, hi
+
+
+def _refined_probe(gauge, nu, perp, coords):
+    """Slice coordinates at t = 1 of small gauge norm, as a (1, n-1) array.
+
+    Starts from the row of coords with the smallest norm and runs a compass
+    search over the m1-1 horizontal coordinates, halving the step from the
+    horizontal block radius down to 1e-6 of it.  A smaller norm at t = 1
+    means a wider reach: the probe's dilation to t stays in the ball up to
+    t = 1 / norm.
+    """
+    model = gauge.model
+
+    def norms(c):
+        return gauge.norm_many(_slice_points(gauge, nu, perp, 1.0, c))
+
+    f = norms(coords)
+    best = int(np.argmin(f))
+    x, fx = coords[best], f[best]
+    m = model.m1 - 1
+    moves = np.vstack([np.eye(m), -np.eye(m)])
+    step = float(gauge.block_radii()[0])
+    stop = 1e-6 * step
+    while m and step > stop:
+        trial = np.repeat(x[None], 2 * m, axis=0)
+        trial[:, :m] += step * moves
+        ft = norms(trial)
+        j = int(np.argmin(ft))
+        if ft[j] < fx:
+            x, fx = trial[j], ft[j]
+        else:
+            step *= 0.5
+    return x[None]
 
 
 def slice_profile(

@@ -6,8 +6,10 @@ from carnotperim import (
     CalibrationError,
     DInfinityGauge,
     GaugeDefinitionError,
+    StarBodyGauge,
     calibrate_dinfty,
     parse_gauge,
+    parse_group,
     star_norm,
     validate,
 )
@@ -168,3 +170,38 @@ def test_anisotropic_is_even_but_stretched(h1):
     rng = np.random.default_rng(25)
     pts = random_points(h1, rng, 200)
     assert np.array_equal(g.norm_many(pts), g.norm_many(-pts))
+
+
+_CATALOG = [
+    ("heisenberg:1", spec)
+    for spec in ("koranyi", "dinf:eps2=0.5", "aniso:scale=2", "starball:rho=0.5", "twoball")
+] + [
+    ("heisenberg:2", spec)
+    for spec in ("koranyi", "dinf:eps2=0.5", "aniso:scale=2", "starball:rho=0.5")
+] + [("abelian:2", "euclidean")]
+
+
+@pytest.mark.parametrize("group,spec", _CATALOG)
+def test_membership_does_not_depend_on_layout(group, spec):
+    model = parse_group(group)
+    gauge = parse_gauge(model, spec)
+    rng = np.random.default_rng(31)
+    center = random_points(model, rng, 1, scale=0.1)[0]
+    for radius in (1.0, 0.37):
+        box = gauge.ball_box_halfwidths(1.2 * radius)
+        pts = rng.uniform(-1.0, 1.0, size=(3000, model.n)) * box
+        f_pts = np.asfortranarray(pts)
+        assert f_pts.flags.f_contiguous and not f_pts.flags.c_contiguous
+        assert np.array_equal(gauge.norm_many(f_pts), gauge.norm_many(pts))
+        for c in (None, center):
+            expected = gauge.in_ball(pts, radius, c)
+            assert 0 < expected.sum() < len(pts)
+            assert np.array_equal(gauge.in_ball(f_pts, radius, c), expected)
+
+
+def test_star_body_unit_ball_skips_no_membership(h1):
+    rng = np.random.default_rng(32)
+    for gauge in (parse_gauge(h1, "starball:rho=0.5"), parse_gauge(h1, "twoball")):
+        assert isinstance(gauge, StarBodyGauge)
+        pts = random_points(h1, rng, 3000, scale=1.2)
+        assert np.array_equal(gauge.in_ball(pts, 1.0), gauge.oracle(h1.dilate(1.0, pts)))

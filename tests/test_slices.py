@@ -5,6 +5,7 @@ from scipy import integrate
 from carnotperim import (
     AnisotropicGauge,
     concavity_report,
+    heisenberg,
     slice_area,
     slice_profile,
     support_radius,
@@ -158,6 +159,16 @@ def test_support_radius_off_axis(h1):
     nu = np.array([1.0, 1.0]) / np.sqrt(2.0)
     T = support_radius(aniso, nu)
     assert abs(T - 1.0 / np.sqrt(1.6)) <= 1e-3
+    assert slice_area(aniso, nu, 1.01 * T, 20_000, seed=7).value == 0.0
+
+
+def test_support_radius_off_axis_h2():
+    # nu-perp is 3-dimensional here, too thin for a random probe cloud alone:
+    # the compass refinement must reach |W^-1 nu| = sqrt(0.625) with W = diag(1, 2, 1, 2)
+    aniso = AnisotropicGauge(heisenberg(2), scale=2.0)
+    nu = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0)
+    T = support_radius(aniso, nu)
+    assert abs(T - np.sqrt(0.625)) <= 1e-3
     assert slice_area(aniso, nu, 1.01 * T, 20_000, seed=7).value == 0.0
 
 
