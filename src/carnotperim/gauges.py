@@ -41,6 +41,27 @@ def _sum_sq(x):
     return out
 
 
+def _halve_bracket(lo, hi, mid, go_hi):
+    """One bisection step in place: hi becomes mid where go_hi, lo elsewhere.
+
+    A masked copy or np.where mispredicts a branch per row when the mask is
+    random, as a bisection's is; selecting on the IEEE bit patterns with an
+    all-ones or all-zeros mask is branch-free and picks the same bits.  mid
+    is overwritten as scratch, so the mask is the one temporary array.
+    """
+    lo, hi, mid = lo.view(np.int64), hi.view(np.int64), mid.view(np.int64)
+    m = go_hi.astype(np.int64)
+    np.negative(m, out=m)  # all ones where go_hi
+    mid ^= hi
+    m &= mid
+    hi ^= m  # hi ^ ((hi ^ mid) & m)
+    mid ^= hi  # mid again on the rows lo takes
+    mid ^= lo
+    np.subtract(go_hi, 1, out=m)  # all ones where not go_hi
+    mid &= m
+    lo ^= mid  # lo ^ ((lo ^ mid) & ~m)
+
+
 class Gauge:
     """Base class; concrete gauges implement norm_many and block_radii."""
 
@@ -263,11 +284,11 @@ def _star_norm_active(model, oracle, pts, tol):
         if lo.min() < 1e-300:
             raise GaugeDefinitionError("membership does not flip along a dilation ray")
     steps = int(math.ceil(math.log2(1.0 / tol))) + 2
+    mid = np.empty(k)
     for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        inside = np.asarray(oracle(_dilate_inv(model, mid, pts)), dtype=bool)
-        lo = np.where(inside, lo, mid)
-        hi = np.where(inside, mid, hi)
+        np.add(lo, hi, out=mid)
+        mid *= 0.5
+        _halve_bracket(lo, hi, mid, np.asarray(oracle(_dilate_inv(model, mid, pts)), dtype=bool))
     r = 0.5 * (lo + hi)
     # consistency spot checks: inside just above r and well above it,
     # outside just below; bodies whose membership flips more than once

@@ -16,7 +16,7 @@ of shape ``(..., n)`` are accepted everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,11 +32,14 @@ class GroupModel:
     layer_dims : per-layer dimensions (m1,) or (m1, m2)
     bracket    : antisymmetric table C with [e_i, e_j] = sum_k C[i,j,k] f_k,
                  shape (m1, m1, m2); None for abelian models
+    dilation_weights : the layer of each coordinate (1.0 or 2.0), the
+                 exponents of the dilations; derived once, read-only
     """
 
     layer_dims: tuple
     bracket: np.ndarray | None = None
     name: str = ""
+    dilation_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.layer_dims)
@@ -62,6 +65,9 @@ class GroupModel:
             object.__setattr__(self, "bracket", table)
         elif self.bracket is not None:
             raise ConformanceError("abelian model cannot carry a bracket table")
+        weights = np.concatenate([np.ones(self.m1), 2.0 * np.ones(self.m2)])
+        weights.setflags(write=False)
+        object.__setattr__(self, "dilation_weights", weights)
 
     # --- basic shape data -------------------------------------------------
 
@@ -85,10 +91,6 @@ class GroupModel:
     def Q(self) -> int:
         """Homogeneous dimension sum_i i * dim V_i."""
         return self.m1 + 2 * self.m2
-
-    @property
-    def dilation_weights(self) -> np.ndarray:
-        return np.concatenate([np.ones(self.m1), 2.0 * np.ones(self.m2)])
 
     @property
     def bracket_bound(self) -> float:

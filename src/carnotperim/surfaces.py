@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import BracketError, ConformanceError, RegionError, RegularityError
-from .gauges import Gauge
+from .gauges import Gauge, _halve_bracket, _sum_sq
 from .groups import GroupModel, embed_v1, vertical_complement
 from .mc import Estimate, box_batches, substream
 
@@ -74,9 +74,9 @@ class SurfaceSpec:
         return np.asarray(self.grad_h(self.model.conform(pts)), dtype=float)
 
     def embed_parameters(self, coords):
-        """Embed (m1-1 + m2) parameter coordinates as points of N."""
+        """Embed (m1-1 + m2) parameter coordinates as points of N, column-major."""
         model = self.model
-        out = np.zeros(coords.shape[:-1] + (model.n,))
+        out = np.zeros(coords.shape[:-1] + (model.n,), order="F")
         out[..., : model.m1] = coords[..., : model.m1 - 1] @ self.frame_perp
         if model.m2:
             out[..., model.m1 :] = coords[..., model.m1 - 1 :]
@@ -215,7 +215,8 @@ class PatchCloud:
 
     order lists the ok samples sorted by their coordinate on the horizontal
     axis sort_axis, along which they spread widest, and sorted_points holds
-    their points in that order, so a ball can be scored on a window.
+    their points in that order, column-major, so a ball can be scored on a
+    window one coordinate at a time.
     """
 
     t: float
@@ -321,8 +322,11 @@ def sample_patch(
     if len(ok_rows):  # column by column: a gathered copy of the ok points costs peak memory
         axis = int(np.argmax([np.ptp(cloud.points[ok_rows, j]) for j in range(model.m1)]))
     order = ok_rows[np.argsort(cloud.points[ok_rows, axis], kind="stable")]
+    sorted_points = np.empty((len(order), model.n), order="F")
+    for j in range(model.n):  # take's default mode would buffer each column
+        np.take(cloud.points[:, j], order, out=sorted_points[:, j], mode="clip")
     return replace(cloud, failures=rel_failures, expansions=expansions,
-                   sort_axis=axis, order=order, sorted_points=cloud.points[order])
+                   sort_axis=axis, order=order, sorted_points=sorted_points)
 
 
 def _draw_cloud(spec, gauge, t, n_samples, hw, seed, key) -> PatchCloud:
@@ -357,22 +361,28 @@ def _graph_heights(spec, base, half_width, doublings=BRACKET_DOUBLINGS):
     `doublings` times where f shows no sign change; returns the heights and
     the mask of samples that were bracketed.  The group line s -> base * (s e1)
     is affine in exponential coordinates, base + s (e1 + [base_1, e1] / 2), so
-    one bracket per sample serves every evaluation of f.
+    one bracket per sample serves every evaluation of f.  The line is kept
+    as (n, k) columns, contiguous when base is column-major, and f sees a
+    column-major (k, n) view of one reused buffer.
     """
     model = spec.model
     k = base.shape[0]
-    slope = np.empty_like(base)
-    slope[:, : model.m1] = spec.nu0
-    slope[:, model.m1 :] = 0.5 * model.bracket_v1(model.v1(base), spec.nu0)
+    cols = base.T
+    pts = np.empty((model.n, k))
+    slope2 = 0.5 * model.bracket_v1(model.v1(base), spec.nu0).T  # the first layer's is nu0
 
     def g(s):
-        pts = s[:, None] * slope
-        pts += base
-        return np.ascontiguousarray(spec.f_many(pts))  # f may return a view that pins pts
+        np.multiply.outer(spec.nu0, s, out=pts[: model.m1])
+        np.multiply(slope2, s, out=pts[model.m1 :])
+        np.add(pts, cols, out=pts)
+        return spec.f_many(pts.T)
+
+    def kept(values):  # f may return a view into pts, which the next g overwrites
+        return values.copy() if np.may_share_memory(values, pts) else values
 
     S = np.full(k, half_width)
-    glo = g(-S)
-    ghi = g(S)
+    glo = kept(g(-S))
+    ghi = kept(g(S))
     no_flip = glo * ghi > 0.0
     for _ in range(doublings):
         if not no_flip.any():
@@ -388,9 +398,7 @@ def _graph_heights(spec, base, half_width, doublings=BRACKET_DOUBLINGS):
     for _ in range(BISECT_ITERS):
         np.add(lo, hi, out=mid)
         mid *= 0.5
-        go_hi = (g(mid) > 0.0) == pos_hi
-        np.copyto(hi, mid, where=go_hi)
-        np.copyto(lo, mid, where=~go_hi)
+        _halve_bracket(lo, hi, mid, (g(mid) > 0.0) == pos_hi)
     phi = 0.5 * (lo + hi)
     return phi, bracketed
 
@@ -437,17 +445,20 @@ def ratio_on_cloud(cloud: PatchCloud, gauge: Gauge, y, spec: SurfaceSpec):
     lo = np.searchsorted(key, y[cloud.sort_axis] - h, side="left")
     hi = np.searchsorted(key, y[cloud.sort_axis] + h, side="right")
     rel = model.multiply(model.inverse(y), cloud.sorted_points[lo:hi])
-    in_box = np.einsum("ij,ij->i", model.v1(rel), model.v1(rel)) <= h * h
+    in_box = _sum_sq(model.v1(rel)) <= h * h
     if model.m2:
         v = t * t * radii[1]
-        in_box &= np.einsum("ij,ij->i", model.v2(rel), model.v2(rel)) <= v * v
+        in_box &= _sum_sq(model.v2(rel)) <= v * v
     rows = np.flatnonzero(in_box)
+    # fancy indexing gathers C-contiguous rows, the layout a full scan hands
+    # the gauge: the star-body oracles' einsum rounds by layout
     hits = cloud.order[lo + rows[gauge.in_ball(rel[rows], radius=t)]]
     w = np.zeros(cloud.n_samples)
     w[hits] = cloud.alpha[hits]
     n = cloud.n_samples
     mean = w.sum() / n
-    var = max(float((w * w).sum()) - n * mean * mean, 0.0) / max(n - 1, 1)
+    w *= w
+    var = max(float(w.sum()) - n * mean * mean, 0.0) / max(n - 1, 1)
     scale = cloud.volume / t ** (model.Q - 1)
     return float(mean * scale), float(math.sqrt(var / n) * scale)
 
@@ -490,8 +501,8 @@ def vertical_plane(model: GroupModel, nu, x=None, name=None) -> SurfaceSpec:
     x = model.conform(np.asarray(x, dtype=float))
     off = float(model.v1(x) @ nu)
 
-    def f(pts):
-        return model.v1(pts) @ nu - off
+    def f(pts):  # BLAS rounds a column-major block differently, so read it row-major
+        return np.ascontiguousarray(model.v1(pts)) @ nu - off
 
     def grad(pts):
         return np.broadcast_to(nu, pts.shape[:-1] + (model.m1,)).copy()
@@ -550,8 +561,8 @@ def quadratic_graph(model: GroupModel, lin, quad=None, h0=None, name: str = "qgr
     x[model.m1] = q(h0)
     table = model.bracket[:, :, 0]
 
-    def f(pts):
-        return pts[..., model.m1] - q(pts[..., : model.m1])
+    def f(pts):  # q's einsum and BLAS round by layout, so read the block row-major
+        return pts[..., model.m1] - q(np.ascontiguousarray(pts[..., : model.m1]))
 
     def grad(pts):
         h = pts[..., : model.m1]

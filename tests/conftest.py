@@ -21,6 +21,11 @@ def h1():
 
 
 @pytest.fixture(scope="session")
+def h2():
+    return heisenberg(2)
+
+
+@pytest.fixture(scope="session")
 def r2():
     return abelian(2)
 

@@ -13,7 +13,7 @@ from carnotperim import (
     star_norm,
     validate,
 )
-from carnotperim.gauges import convexity_sample, sample_in_ball
+from carnotperim.gauges import _halve_bracket, convexity_sample, sample_in_ball
 from carnotperim.mc import substream
 
 from conftest import random_points
@@ -103,6 +103,60 @@ def test_star_norm_bad_oracles(h1):
 
     with pytest.raises(GaugeDefinitionError):
         star_norm(h1, annulus, np.array([2.0, 0.0, 0.0]))
+
+
+def where_star_norm(model, oracle, pts, tol):
+    """star_norm's bracket and bisection written with np.where, without its
+    spot checks; zero rows have norm 0."""
+    out = np.zeros(len(pts))
+    active = np.any(pts != 0.0, axis=-1)
+    pts = pts[active]
+
+    def inside(r, p):
+        return np.asarray(oracle(p * (1.0 / r)[:, None] ** model.dilation_weights), dtype=bool)
+
+    lo, hi = np.full(len(pts), 0.5), np.ones(len(pts))
+    grow = ~inside(hi, pts)
+    while grow.any():
+        hi[grow] *= 2.0
+        grow[grow] = ~inside(hi[grow], pts[grow])
+    lo = np.minimum(lo, 0.5 * hi)
+    shrink = inside(lo, pts)
+    while shrink.any():
+        lo[shrink] *= 0.5
+        shrink[shrink] = inside(lo[shrink], pts[shrink])
+    for _ in range(int(np.ceil(np.log2(1.0 / tol))) + 2):
+        mid = 0.5 * (lo + hi)
+        hit = inside(mid, pts)
+        lo = np.where(hit, lo, mid)
+        hi = np.where(hit, mid, hi)
+    out[active] = 0.5 * (lo + hi)
+    return out
+
+
+@pytest.mark.parametrize("group, spec", [("h1", "starball:rho=0.5"), ("h1", "twoball"),
+                                         ("h2", "starball:rho=0.5")])
+def test_star_norm_bisection_is_bitwise_unchanged(request, group, spec):
+    model = request.getfixturevalue(group)
+    gauge = parse_gauge(model, spec)
+    pts = random_points(model, np.random.default_rng(5), 3000)
+    pts[::97] = 0.0
+    got = star_norm(model, gauge.oracle, pts, gauge.tol)
+    assert np.array_equal(got, where_star_norm(model, gauge.oracle, pts, gauge.tol))
+    assert (got[::97] == 0.0).all() and (got[1:97] > 0.0).all()
+
+
+def test_halve_bracket_selects_exact_bits():
+    bits = np.array([0x0, 0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000,
+                     0x1, 0x800FFFFFFFFFFFFF, 0x7FF8000000000000, 0x7FF0000000000001,
+                     0xFFF8DEADBEEF0001, 0x3FF0000000000000, 0xC004000000000000],
+                    dtype=np.uint64).view(np.int64)
+    lo, hi, mid = (a.ravel() for a in np.meshgrid(bits, bits, bits, indexing="ij"))
+    go_hi = np.random.default_rng(3).random(len(lo)) < 0.5
+    new_lo, new_hi = lo.view(float).copy(), hi.view(float).copy()
+    _halve_bracket(new_lo, new_hi, mid.view(float).copy(), go_hi)
+    assert np.array_equal(new_hi.view(np.int64), np.where(go_hi, mid, hi))
+    assert np.array_equal(new_lo.view(np.int64), np.where(go_hi, lo, mid))
 
 
 def test_validate_koranyi_clean(koranyi):

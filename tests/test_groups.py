@@ -145,6 +145,12 @@ def test_associativity(h1):
     assert np.max(np.abs(left - right)) < 1e-10
 
 
+def test_dilation_weights_are_built_once(h1):
+    weights = h1.dilation_weights
+    assert weights is h1.dilation_weights and not weights.flags.writeable
+    assert weights.tolist() == [1.0, 1.0, 2.0]
+
+
 def test_dilations_are_automorphisms(h1):
     rng = np.random.default_rng(16)
     p, q = (random_points(h1, rng, 1000) for _ in range(2))

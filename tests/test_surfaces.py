@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,14 @@ from carnotperim import (
 )
 from carnotperim.groups import embed_v1
 from carnotperim.mc import joint_stderr
-from carnotperim.surfaces import BISECT_ITERS, _graph_heights, ratio_on_cloud, sample_patch
+from carnotperim.surfaces import (
+    BISECT_ITERS,
+    BRACKET_DOUBLINGS,
+    _graph_heights,
+    quadratic_graph,
+    ratio_on_cloud,
+    sample_patch,
+)
 
 
 
@@ -166,6 +174,102 @@ def test_graph_heights_on_affine_line_are_bitwise(h1, surface):
     assert np.array_equal(phi, ref_phi)
 
 
+def masked_copy_heights(spec, base, half_width, doublings=BRACKET_DOUBLINGS):
+    """_graph_heights as a row-major line with masked-copy bisection steps."""
+    model = spec.model
+    k = base.shape[0]
+    slope = np.empty_like(base)
+    slope[:, : model.m1] = spec.nu0
+    slope[:, model.m1 :] = 0.5 * model.bracket_v1(model.v1(base), spec.nu0)
+
+    def g(s):
+        pts = s[:, None] * slope
+        pts += base
+        return np.ascontiguousarray(spec.f_many(pts))
+
+    S = np.full(k, half_width)
+    glo, ghi = g(-S), g(S)
+    no_flip = glo * ghi > 0.0
+    for _ in range(doublings):
+        if not no_flip.any():
+            break
+        S[no_flip] *= 2.0
+        glo = np.where(no_flip, g(-S), glo)
+        ghi = np.where(no_flip, g(S), ghi)
+        no_flip = glo * ghi > 0.0
+    pos_hi = (ghi > 0.0) | (glo < 0.0)
+    lo, hi, mid = -S, S, np.empty(k)
+    for _ in range(BISECT_ITERS):
+        np.add(lo, hi, out=mid)
+        mid *= 0.5
+        go_hi = (g(mid) > 0.0) == pos_hi
+        np.copyto(hi, mid, where=go_hi)
+        np.copyto(lo, mid, where=~go_hi)
+    return 0.5 * (lo + hi), ~no_flip
+
+
+HEIGHT_SURFACES = {
+    "tplane": lambda m: parse_surface(m, "tplane"),
+    "vplane:nu=1,0": lambda m: parse_surface(m, "vplane:nu=" + ",".join("1" + "0" * (m.m1 - 1))),
+    "vplane:nu=1,1": lambda m: parse_surface(m, "vplane:nu=1,1" + ",0" * (m.m1 - 2)),
+    "qgraph": lambda m: quadratic_graph(m, lin=(0.3, 1.0) + (0.0,) * (m.m1 - 2)),
+    # f returns a read-only broadcast, and small brackets need doublings
+    "expr": lambda m: from_expression(m, "x%d-0.2*x2^2" % m.n, [1.0] + [0.0] * (m.n - 1)),
+}
+
+
+@pytest.mark.parametrize("k", [1, 4097, 65536])
+@pytest.mark.parametrize("surface", sorted(HEIGHT_SURFACES))
+@pytest.mark.parametrize("group", ["h1", "h2"])
+def test_graph_heights_match_masked_copy_bisection(request, group, surface, k):
+    model = request.getfixturevalue(group)
+    spec = HEIGHT_SURFACES[surface](model)
+    coords = np.random.default_rng(k).uniform(-0.5, 0.5, size=(k, model.n - 1))
+    base = model.multiply(spec.x, spec.embed_parameters(coords))
+    phi, bracketed = _graph_heights(spec, base, 0.02)
+    ref_phi, ref_bracketed = masked_copy_heights(spec, np.ascontiguousarray(base), 0.02)
+    assert np.array_equal(bracketed, ref_bracketed)
+    assert np.array_equal(phi, ref_phi)
+
+
+def test_plane_fields_round_alike_in_both_layouts(h2):
+    # BLAS and einsum round a column-major block differently on H^2
+    nu = np.array([0.3, -1.0, 0.7, 0.2])
+    plane = vertical_plane(h2, nu, x=[0.1, 0.2, -0.3, 0.4, 0.5])
+    quad = np.random.default_rng(2).uniform(-0.5, 0.5, (4, 4))
+    graph = quadratic_graph(h2, lin=(0.3, 1.0, -0.2, 0.5), quad=quad)
+    pts = np.random.default_rng(3).uniform(-1.0, 1.0, (5000, h2.n))
+    unit = nu / np.linalg.norm(nu)
+    row_major = h2.v1(pts) @ unit - float(h2.v1(plane.x) @ unit)
+    assert np.array_equal(plane.f(np.asfortranarray(pts)), row_major)
+    assert np.array_equal(graph.f(np.asfortranarray(pts)), graph.f(pts))
+
+
+def test_blowup_kernels_see_column_major_layouts(h1, monkeypatch):
+    spec = parse_surface(h1, "tplane")
+    gauge = parse_gauge(h1, "starball:rho=0.5")
+    layouts = []
+
+    def f(pts):
+        layouts.append((pts.shape, pts.flags.f_contiguous))
+        return spec.f(pts)
+
+    cloud = sample_patch(replace(spec, f=f), gauge, 0.2, 5000, seed=7)
+    assert layouts and set(layouts) == {((5000, h1.n), True)}
+    assert cloud.sorted_points.flags.f_contiguous and not cloud.sorted_points.flags.c_contiguous
+
+    rows = []
+    in_ball = gauge.in_ball
+
+    def recording_in_ball(pts, radius=1.0, center=None):
+        rows.append(pts.flags.c_contiguous)
+        return in_ball(pts, radius, center)
+
+    monkeypatch.setattr(gauge, "in_ball", recording_in_ball)
+    assert ratio_on_cloud(cloud, gauge, spec.x, spec)[0] > 0.0
+    assert rows == [True]
+
+
 def test_graph_height_bracket_error(h1):
     surf = coordinate_plane(h1)
     with pytest.raises(BracketError):
@@ -283,6 +387,11 @@ def full_scan_ratio(cloud, gauge, y, spec):
         for gauge_spec in ("koranyi", "dinf:eps2=0.5", "aniso:scale=2", "starball:rho=0.5",
                            "twoball")
         for surface in ("tplane", "vplane:nu=1,1")
+    ]
+    + [
+        ("h2", gauge_spec, surface)
+        for gauge_spec in ("koranyi", "aniso:scale=2", "starball:rho=0.5")
+        for surface in ("tplane", "vplane:nu=1,1,0,0")
     ]
     + [("r2", "euclidean", "vplane:nu=1,1")],
 )
