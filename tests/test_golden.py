@@ -50,6 +50,12 @@ CASES = (
     ("verify_blowup_starball.json",
      ("verify", "--suite", "blowup", "--gauge", "starball:rho=0.5", "--samples", "5000",
       "--seed", "7")),
+    ("verify_all_starball.json",
+     ("verify", "--suite", "all", "--gauge", "starball:rho=0.5", "--samples", "5000",
+      "--seed", "7")),
+    ("verify_symmetry_starball_h2.json",
+     ("verify", "--suite", "symmetry", "--gauge", "starball:rho=0.5", "--group",
+      "heisenberg:2", "--samples", "2000", "--seed", "7")),
     ("validate_gauge.json",
      ("validate-gauge", "--gauge", "starball:rho=0.5", "--samples", "2000", "--seed", "7")),
     ("calibrate_dinf.json",
