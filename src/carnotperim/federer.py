@@ -246,31 +246,35 @@ def _ball_starts(gauge, count, seed, k):
     return out  # degenerate ball: search just falls back to fewer starts
 
 
-def _clamp_to_ball(gauge, w):
-    nw = gauge.norm(w)
-    if nw > 1.0:
-        return gauge.model.dilate(1.0 / nw, w)
-    return w
+def _clamp_to_ball(gauge, pts):
+    """The rows of pts, each dilated into the unit ball when outside it.
+
+    One norm_many call for all rows; a batched norm equals the one-row norm
+    bit for bit.
+    """
+    norms = gauge.norm_many(pts)
+    return [gauge.model.dilate(1.0 / nw, w) if nw > 1.0 else w for w, nw in zip(pts, norms)]
 
 
 def _pattern_search(score, w0, gauge, budget):
     """Compass search on the center offset w, clamped to the unit ball.
 
     The objective is deterministic on the frozen cloud, so plain greedy
-    moves are reliable; no gradients exist through the hit indicator.
+    moves are reliable; no gradients exist through the hit indicator.  An
+    improving move goes on to the next coordinate from the new w, so only
+    the +/- pair of one coordinate is known in advance and clamped together.
     """
     model = gauge.model
-    w = _clamp_to_ball(gauge, np.asarray(w0, dtype=float))
+    (w,) = _clamp_to_ball(gauge, np.asarray(w0, dtype=float)[None])
     val, se = score(w)
     step = PATTERN_STEP0
     evals = 0
     while evals < budget and step >= PATTERN_MIN_STEP:
         improved = False
         for j in range(model.n):
-            for sign in (1.0, -1.0):
-                cand = w.copy()
-                cand[j] += sign * step
-                cand = _clamp_to_ball(gauge, cand)
+            pair = np.stack([w, w])
+            pair[:, j] += (step, -step)
+            for cand in _clamp_to_ball(gauge, pair):
                 cval, cse = score(cand)
                 evals += 1
                 if cval > val:

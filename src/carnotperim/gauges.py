@@ -52,14 +52,12 @@ def _halve_bracket(lo, hi, mid, go_hi):
     lo, hi, mid = lo.view(np.int64), hi.view(np.int64), mid.view(np.int64)
     m = go_hi.astype(np.int64)
     np.negative(m, out=m)  # all ones where go_hi
+    lo ^= mid
+    lo &= m
+    lo ^= mid  # mid ^ ((mid ^ lo) & m)
     mid ^= hi
-    m &= mid
-    hi ^= m  # hi ^ ((hi ^ mid) & m)
-    mid ^= hi  # mid again on the rows lo takes
-    mid ^= lo
-    np.subtract(go_hi, 1, out=m)  # all ones where not go_hi
     mid &= m
-    lo ^= mid  # lo ^ ((lo ^ mid) & ~m)
+    hi ^= mid  # hi ^ ((hi ^ mid) & m)
 
 
 class Gauge:
@@ -264,23 +262,36 @@ def star_norm(model: GroupModel, oracle, p: Point, tol: float = _STAR_TOL):
 
 def _star_norm_active(model, oracle, pts, tol):
     k = pts.shape[0]
+    # per call, not per step: the coordinates as contiguous rows, one
+    # C-contiguous dilated block (the star oracles' einsum rounds by layout)
+    # and the second layer's exponents
+    pts_t = pts.T.copy()
+    dilated = np.empty(pts.shape)
+    twos = np.full(k, 2.0)
+    every_row = _dilation_operands(model, pts_t, dilated, twos)
+
+    def inside(r, rows=None):
+        ops = every_row if rows is None else _dilation_operands(model, pts_t[:, rows], dilated, twos)
+        return np.asarray(oracle(_dilate_inv(r, *ops)), dtype=bool)
+
     lo = np.full(k, 0.5)
     hi = np.ones(k)
-    inside_hi = np.asarray(oracle(_dilate_inv(model, hi, pts)), dtype=bool)
+    inside_hi = inside(hi)
     for _ in range(90):
         if inside_hi.all():
             break
-        hi[~inside_hi] *= 2.0
-        inside_hi[~inside_hi] = oracle(_dilate_inv(model, hi[~inside_hi], pts[~inside_hi]))
+        grow = ~inside_hi
+        hi[grow] *= 2.0
+        inside_hi[grow] = inside(hi[grow], grow)
     else:
         raise GaugeDefinitionError("no boundary crossing found: body may be unbounded or empty")
     lo = np.minimum(lo, 0.5 * hi)
-    inside_lo = np.asarray(oracle(_dilate_inv(model, lo, pts)), dtype=bool)
+    inside_lo = inside(lo)
     for _ in range(90):
         if not inside_lo.any():
             break
         lo[inside_lo] *= 0.5
-        inside_lo[inside_lo] = oracle(_dilate_inv(model, lo[inside_lo], pts[inside_lo]))
+        inside_lo[inside_lo] = inside(lo[inside_lo], inside_lo)
         if lo.min() < 1e-300:
             raise GaugeDefinitionError("membership does not flip along a dilation ray")
     steps = int(math.ceil(math.log2(1.0 / tol))) + 2
@@ -288,15 +299,15 @@ def _star_norm_active(model, oracle, pts, tol):
     for _ in range(steps):
         np.add(lo, hi, out=mid)
         mid *= 0.5
-        _halve_bracket(lo, hi, mid, np.asarray(oracle(_dilate_inv(model, mid, pts)), dtype=bool))
+        _halve_bracket(lo, hi, mid, np.asarray(oracle(_dilate_inv(mid, *every_row)), dtype=bool))
     r = 0.5 * (lo + hi)
     # consistency spot checks: inside just above r and well above it,
     # outside just below; bodies whose membership flips more than once
     # along the ray trip one of these
     eps = 1e-6
-    bad = ~np.asarray(oracle(_dilate_inv(model, r * (1 + eps), pts)), dtype=bool)
-    bad |= ~np.asarray(oracle(_dilate_inv(model, r * 8.0, pts)), dtype=bool)
-    bad |= np.asarray(oracle(_dilate_inv(model, r * (1 - eps), pts)), dtype=bool)
+    bad = ~inside(r * (1 + eps))
+    bad |= ~inside(r * 8.0)
+    bad |= inside(r * (1 - eps))
     if np.any(bad):
         idx = int(np.argmax(bad))
         raise GaugeDefinitionError(
@@ -305,8 +316,31 @@ def _star_norm_active(model, oracle, pts, tol):
     return r
 
 
-def _dilate_inv(model, r, pts):
-    return pts * (1.0 / r)[..., None] ** model.dilation_weights
+def _dilation_operands(model, pts_t, out, twos):
+    """The operands of _dilate_inv for the points whose coordinates are the
+    rows of pts_t, dilated into the first rows of the C-contiguous block out."""
+    (n, k), m1 = pts_t.shape, model.m1
+    out = out[:k]
+    second = [(pts_t[j], out[:, j]) for j in range(m1, n)]
+    return out, pts_t[:m1], out.T[:m1], second, twos[:k]
+
+
+def _dilate_inv(r, out, p1, o1, second, twos):
+    """delta_{1/r} of the points, one layer at a time; returns out.
+
+    Bitwise equal to pts * (1/r)[:, None] ** model.dilation_weights: the
+    first layer is scaled by s = 1/r itself, which equals pow(s, 1), and the
+    second by np.power(s, twos), which rounds like the broadcast pow (s * s
+    does not, in about 5% of rows).  The broadcast pow runs a loop of n
+    entries once per row; here the first layer is one loop over the rows
+    and each second-layer column another.
+    """
+    s = np.reciprocal(r)
+    np.multiply(p1, s, out=o1)
+    s = np.power(s, twos)
+    for p, o in second:
+        np.multiply(p, s, out=o)
+    return out
 
 
 class StarBodyGauge(Gauge):

@@ -162,3 +162,102 @@ def test_scoring_gauge_sees_under_a_tenth_of_the_cloud(h1, koranyi, monkeypatch)
     federer_density(coordinate_plane(h1), koranyi, sched=sched)
     assert len(per_call) > 100
     assert 0 < max(per_call) < 0.1 * samples
+
+
+def one_row_pattern_search(score, w0, gauge, budget):
+    """The compass search as it was when every candidate was clamped with
+    its own one-row norm call."""
+    from carnotperim.federer import PATTERN_MIN_STEP, PATTERN_STEP0
+
+    def clamp(w):
+        nw = gauge.norm(w)
+        return gauge.model.dilate(1.0 / nw, w) if nw > 1.0 else w
+
+    w = clamp(np.asarray(w0, dtype=float))
+    val, se = score(w)
+    step, evals = PATTERN_STEP0, 0
+    while evals < budget and step >= PATTERN_MIN_STEP:
+        improved = False
+        for j in range(gauge.model.n):
+            for sign in (1.0, -1.0):
+                cand = w.copy()
+                cand[j] += sign * step
+                cand = clamp(cand)
+                cval, cse = score(cand)
+                evals += 1
+                if cval > val:
+                    w, val, se = cand, cval, cse
+                    improved = True
+                    break
+                if evals >= budget:
+                    break
+            if evals >= budget:
+                break
+        if not improved:
+            step *= 0.5
+    return w, val, se
+
+
+@pytest.mark.parametrize("group", ["h1", "h2"])
+@pytest.mark.parametrize("surface", ["tplane", "vplane"])
+@pytest.mark.parametrize("spec", ["koranyi", "aniso", "starball:rho=0.5"])
+def test_pattern_search_matches_one_row_clamps(request, group, surface, spec):
+    from carnotperim import parse_gauge, parse_surface
+    from carnotperim.federer import _ball_starts, _pattern_search
+    from carnotperim.surfaces import ratio_on_cloud, sample_patch
+
+    model = request.getfixturevalue(group)
+    if surface == "vplane":
+        surface = "vplane:nu=1,1" + ",0" * (model.m1 - 2)
+    surf, gauge, t = parse_surface(model, surface), parse_gauge(model, spec), 0.2
+    cloud = sample_patch(surf, gauge, t, 5000, seed=3)
+
+    def score(w):
+        return ratio_on_cloud(cloud, gauge, model.multiply(surf.x, model.dilate(t, w)), surf)
+
+    for w0 in [model.identity()] + _ball_starts(gauge, 2, 3, 0):
+        got = _pattern_search(score, w0, gauge, 24)
+        want = one_row_pattern_search(score, w0, gauge, 24)
+        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+
+
+def test_pattern_search_clamps_each_pair_with_one_norm_call(h1, monkeypatch):
+    # deterministic guard: one star_norm call for the start of each search,
+    # then one per coordinate pair, never one per candidate
+    import carnotperim.federer as federer_module
+    import carnotperim.gauges as gauges_module
+
+    searches, active = [], []
+    real_search, real_star = federer_module._pattern_search, gauges_module.star_norm
+    real_ratio = federer_module.ratio_on_cloud
+
+    def counted_search(*args):
+        searches.append({"rows": [], "scores": 0})
+        active.append(searches[-1])
+        try:
+            return real_search(*args)
+        finally:
+            active.pop()
+
+    def counted_star(model, oracle, p, *args):
+        if active:
+            active[-1]["rows"].append(len(p))
+        return real_star(model, oracle, p, *args)
+
+    def counted_ratio(*args):
+        if active:
+            active[-1]["scores"] += 1
+        return real_ratio(*args)
+
+    monkeypatch.setattr(federer_module, "_pattern_search", counted_search)
+    monkeypatch.setattr(gauges_module, "star_norm", counted_star)
+    monkeypatch.setattr(federer_module, "ratio_on_cloud", counted_ratio)
+    gauge = gauges_module.parse_gauge(h1, "starball:rho=0.5")
+    sched = default_schedule(t0=0.4, halvings=1, samples_per_ball=5000, seed=7)
+    federer_density(vertical_plane(h1, [1.0, 0.0]), gauge, sched=sched)
+    assert len(searches) == 2 * sched.multistart_count
+    for s in searches:
+        start, pairs, candidates = s["rows"][0], s["rows"][1:], s["scores"] - 1
+        assert start == 1 and pairs and all(rows == 2 for rows in pairs)
+        # every pair scores its + candidate, and its - one only if + fails
+        assert len(pairs) <= candidates <= 2 * len(pairs)

@@ -13,7 +13,13 @@ from carnotperim import (
     star_norm,
     validate,
 )
-from carnotperim.gauges import _halve_bracket, convexity_sample, sample_in_ball
+from carnotperim.gauges import (
+    _dilate_inv,
+    _dilation_operands,
+    _halve_bracket,
+    convexity_sample,
+    sample_in_ball,
+)
 from carnotperim.mc import substream
 
 from conftest import random_points
@@ -144,6 +150,66 @@ def test_star_norm_bisection_is_bitwise_unchanged(request, group, spec):
     got = star_norm(model, gauge.oracle, pts, gauge.tol)
     assert np.array_equal(got, where_star_norm(model, gauge.oracle, pts, gauge.tol))
     assert (got[::97] == 0.0).all() and (got[1:97] > 0.0).all()
+
+
+def broadcast_dilate_inv(model, r, pts):
+    """delta_{1/r} as star_norm computed it before it dilated per layer."""
+    return pts * (1.0 / r)[..., None] ** model.dilation_weights
+
+
+def bisection_radii(rng):
+    """Radii a star_norm call dilates by: bisection midpoints, bracket
+    doublings and halvings, and (0.5, 1] * 2^e for e in -60..60."""
+    lo = 0.5 * 2.0 ** rng.integers(-8, 9, 500)
+    hi = 2.0 * lo
+    target = lo + (hi - lo) * rng.random(lo.size)
+    mids = []
+    for _ in range(36):
+        mid = 0.5 * (lo + hi)
+        mids.append(mid)
+        lo, hi = np.where(mid < target, mid, lo), np.where(mid < target, hi, mid)
+    doublings = 2.0 ** np.arange(0, 90)
+    halvings = 0.5 ** np.arange(1, 90)
+    mantissas = 1.0 - 0.5 * rng.random((121, 400))  # (0.5, 1]
+    mantissas[:, 0] = 1.0
+    scaled = np.ldexp(mantissas, np.arange(-60, 61)[:, None]).ravel()
+    return np.concatenate(mids + [doublings, halvings, scaled])
+
+
+@pytest.mark.parametrize("group", ["h1", "h2"])
+def test_dilate_inv_is_bitwise_the_broadcast_pow(request, group):
+    model = request.getfixturevalue(group)
+    rng = np.random.default_rng(11)
+    r = bisection_radii(rng)
+    pts = random_points(model, rng, len(r))
+    pts_t, out, twos = pts.T.copy(), np.empty_like(pts), np.full(len(r), 2.0)
+    got = _dilate_inv(r, *_dilation_operands(model, pts_t, out, twos))
+    assert got.flags.c_contiguous
+    assert np.array_equal(got.view(np.int64), broadcast_dilate_inv(model, r, pts).view(np.int64))
+    # a subset of the rows goes to the front of the same buffers
+    rows = rng.random(len(r)) < 0.3
+    got = _dilate_inv(r[rows], *_dilation_operands(model, pts_t[:, rows], out, twos))
+    assert got.flags.c_contiguous and len(got) == rows.sum()
+    want = broadcast_dilate_inv(model, r[rows], pts[rows])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("group, spec", [
+    ("h1", "starball:rho=0.5"), ("h1", "twoball"), ("h2", "starball:rho=0.5"),
+    ("h1", "koranyi"), ("h1", "aniso"), ("h1", "dinf:eps2=2"),
+    ("h2", "koranyi"), ("h2", "aniso"), ("h2", "dinf:eps2=2"),
+])
+def test_batched_norms_equal_one_row_norms(request, group, spec):
+    # the compass search clamps a +/- pair with one call where it made two
+    model = request.getfixturevalue(group)
+    gauge = parse_gauge(model, spec)
+    pts = random_points(model, np.random.default_rng(4), 120)
+    pts[::5] *= 1e-3  # norms below 1/2: the bracket halves
+    pts[1::5] *= 40.0  # the bracket doubles several times
+    batched = gauge.norm_many(pts)
+    pairs = np.concatenate([gauge.norm_many(pts[i : i + 2]) for i in range(0, len(pts), 2)])
+    one_row = np.array([gauge.norm(p) for p in pts])
+    assert np.array_equal(batched, one_row) and np.array_equal(pairs, one_row)
 
 
 def test_halve_bracket_selects_exact_bits():
