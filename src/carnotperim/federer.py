@@ -183,9 +183,9 @@ def _density(spec, gauge, x, sched, workers, optimize):
         running.append(acc)
     running.reverse()
 
-    extrap = _tail_average([(r.ratio, r.stderr) for r in records], sched.seed)
+    extrap = _tail_average([(r.ratio, r.stderr, r.n_samples) for r in records], sched.seed)
     centered_extrap = _tail_average(
-        [(r.centered_ratio, r.centered_stderr) for r in records], sched.seed
+        [(r.centered_ratio, r.centered_stderr, r.n_samples) for r in records], sched.seed
     )
     tail = records[-3:]
     converged = all(
@@ -290,14 +290,14 @@ def _pattern_search(score, w0, gauge, budget):
     return w, val, se
 
 
-def _tail_average(pairs, seed, tail: int = 3):
-    """Inverse-variance weighted mean of the last few (value, stderr) pairs."""
-    tail_pairs = pairs[-tail:]
+def _tail_average(estimates, seed, tail: int = 3):
+    """Inverse-variance weighted mean of the last few (value, stderr,
+    n_samples) triples; its sample count is theirs in total."""
+    tail_est = estimates[-tail:]
     weights = []
-    for v, s in tail_pairs:
+    for v, s, _ in tail_est:
         weights.append(1.0 / max(s * s, 1e-30))
     wsum = sum(weights)
-    value = sum(w * v for w, (v, s) in zip(weights, tail_pairs)) / wsum
+    value = sum(w * v for w, (v, s, _) in zip(weights, tail_est)) / wsum
     stderr = math.sqrt(1.0 / wsum)
-    n = 0
-    return Estimate(value, stderr, n, seed)
+    return Estimate(value, stderr, sum(n for _, _, n in tail_est), seed)

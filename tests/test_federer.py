@@ -261,3 +261,10 @@ def test_pattern_search_clamps_each_pair_with_one_norm_call(h1, monkeypatch):
         assert start == 1 and pairs and all(rows == 2 for rows in pairs)
         # every pair scores its + candidate, and its - one only if + fails
         assert len(pairs) <= candidates <= 2 * len(pairs)
+
+
+def test_tail_estimates_count_the_tail_samples(h1, koranyi):
+    rep = federer_density(vertical_plane(h1, [1.0, 0.0]), koranyi, sched=small_sched(samples=5000))
+    tail = sum(r.n_samples for r in rep.records[-3:])
+    assert len(rep.records) == 4 and tail == 15000
+    assert rep.extrapolated_theta.n_samples == rep.centered_extrapolated.n_samples == tail
