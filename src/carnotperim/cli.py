@@ -66,7 +66,7 @@ def _parse_radii(text):
     return float(t0), int(k)
 
 
-def _resolved_config(args, skip=("out", "format", "func")):
+def _resolved_config(args, skip=("out", "format", "func", "ignored")):
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
@@ -204,10 +204,8 @@ def cmd_blowup(args):
     point = _parse_point(args.point, model) if args.point else None
     spec = surfaces.parse_surface(model, args.surface, x=point)
     t0, halvings = _parse_radii(args.radii)
-    sched = federer.default_schedule(
-        t0, halvings, samples_per_ball=int(args.samples), seed=args.seed,
-        multistart_count=args.multistart, local_steps=args.local_steps,
-    )
+    sched = federer.default_schedule(t0, halvings, samples_per_ball=int(args.samples),
+                                     seed=args.seed)
     report = federer.federer_density(spec, gauge, sched=sched, workers=args.workers)
     meta = _resolved_config(args)
     meta["extrapolated_theta"] = report.extrapolated_theta.value
@@ -318,8 +316,11 @@ def build_parser():
     p.add_argument("--surface", default="tplane", help="vplane:nu=... | tplane | expr:<formula>")
     p.add_argument("--point", default=None, help="base point, comma separated")
     p.add_argument("--radii", default=_env_default("radii", "0.4:6", str), help="t0:halvings")
-    p.add_argument("--multistart", type=int, default=5)
-    p.add_argument("--local-steps", dest="local_steps", type=int, default=24)
+    # the compass search's budget flags are accepted and ignored, so older
+    # scripts still run; the normal-line scan has no knob
+    for flag in ("--multistart", "--local-steps"):
+        p.add_argument(flag, dest="ignored", type=int, default=argparse.SUPPRESS,
+                       help=argparse.SUPPRESS)
     _add_guard(p)
     p.set_defaults(func=cmd_blowup)
 

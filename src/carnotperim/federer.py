@@ -2,15 +2,22 @@
 
 Two quantities are tracked along a decreasing radius schedule:
 
-* the off-centered density: for each radius t, the maximum of
-  sigma(B(y,t)) / t^(Q-1) over centers y in B(x, t), located by a
-  derivative-free pattern search over w with y = x * delta_t(w); and
-* the centered density: the same ratio at y = x.
+* the off-centred density: for each radius t, the largest
+  sigma(B(y,t)) / t^(Q-1) over centres y = x * delta_t(s * nu / |nu|) on
+  the normal line through x, |s| <= 1; and
+* the centred density: the same ratio at y = x.
 
-At each radius a single sample cloud is frozen and every candidate center is
-scored against it (common random numbers), so candidate comparisons carry no
-independent noise and the centered ratio can never exceed the best ratio on
-the same cloud.  The tail of the schedule is extrapolated by inverse-variance
+The blow-up limit of the ratio depends on the centre only through the
+offset <w1, nu> of y = x * delta_t(w), by the translation argument that
+reduces beta to a max over t, so the sup over the normal line has the same
+limit as the sup over all of B(x, t).  At a finite radius it is a lower
+bound of that sup, equal to it when the ball's support in the directions
++-nu lies on the nu axis: every catalog gauge but twoball.
+
+At each radius a 21-point scan of the line is scored on one frozen sample
+cloud (common random numbers), and the chosen centre is rescored on a fresh
+cloud over its ball alone, so the reported ratio carries no winner's-curse
+bias.  The tail of the schedule is extrapolated by inverse-variance
 averaging; no convergence rate is assumed.
 
 A radius whose patch is refused (RegionError; in practice the largest ones)
@@ -27,21 +34,19 @@ import numpy as np
 
 from .exceptions import RegionError
 from .gauges import Gauge
-from .groups import Point
-from .mc import Estimate, ordered_map, substream
+from .groups import Point, embed_v1
+from .mc import Estimate, ordered_map
 from .surfaces import SurfaceSpec, ratio_on_cloud, sample_patch
 
-PATTERN_STEP0 = 0.35
-PATTERN_MIN_STEP = 0.02
+SCAN = np.linspace(-1.0, 1.0, 21)  # offsets s on the normal line; SCAN[10] == 0
+RESCORE_KEY = 1  # rescore clouds draw on (k, RESCORE_KEY, attempt); search clouds on (k, attempt)
 
 
 @dataclass(frozen=True)
 class DensitySchedule:
-    """Radius schedule and search budget for density runs."""
+    """Radius schedule and sample budget for density runs."""
 
     radii: tuple
-    multistart_count: int = 5
-    local_steps: int = 24
     samples_per_ball: int = 200_000
     seed: int = 7
 
@@ -61,12 +66,10 @@ def default_schedule(
     halvings: int = 6,
     samples_per_ball: int = 200_000,
     seed: int = 7,
-    multistart_count: int = 5,
-    local_steps: int = 24,
 ) -> DensitySchedule:
     """Dyadic schedule t0 * 2^-k for k = 0..halvings."""
     radii = tuple(t0 * 2.0**-k for k in range(halvings + 1))
-    return DensitySchedule(radii, multistart_count, local_steps, samples_per_ball, seed)
+    return DensitySchedule(radii, samples_per_ball, seed)
 
 
 @dataclass(frozen=True)
@@ -76,10 +79,11 @@ class RadiusRecord:
     stderr: float
     centered_ratio: float
     centered_stderr: float
-    best_w: tuple  # offset in the unit ball; the center is x * delta_t(w)
+    best_w: tuple  # offset s * unit on the normal line; the centre is x * delta_t(w)
     best_center: tuple
-    n_samples: int
-    failures: int
+    n_samples: int  # per cloud
+    failures: int  # bracket failures, both clouds
+    expansions: int  # parameter-box expansions, both clouds
 
     def as_dict(self):
         return {
@@ -92,6 +96,7 @@ class RadiusRecord:
             "best_center": list(self.best_center),
             "n_samples": self.n_samples,
             "failures": self.failures,
+            "expansions": self.expansions,
         }
 
 
@@ -164,10 +169,15 @@ def _density(spec, gauge, x, sched, workers, optimize):
     if x is not None and not np.allclose(np.asarray(x, float), spec.x, atol=1e-9):
         raise ValueError("the graph parametrization is anchored at its base point")
 
+    unit = None
+    if optimize:
+        e1 = embed_v1(spec.model, spec.nu0)
+        unit = e1 / gauge.norm(e1)
+
     def one_radius(item):
         k, t = item
         try:
-            return _radius_record(spec, gauge, t, sched, k, optimize)
+            return _radius_record(spec, gauge, t, sched, k, unit)
         except RegionError:
             return None
 
@@ -207,87 +217,45 @@ def _density(spec, gauge, x, sched, workers, optimize):
     )
 
 
-def _radius_record(spec, gauge, t, sched, k, optimize):
-    cloud = sample_patch(spec, gauge, t, sched.samples_per_ball, seed=sched.seed, key=(k,))
+def _radius_record(spec, gauge, t, sched, k, unit):
+    """One radius of the schedule, on a search cloud and a rescore cloud.
+
+    The centres y = x * delta_t(s * unit), s on SCAN and unit the horizontal
+    normal scaled to gauge norm 1, lie in B(x, t).  All are scored on one
+    search cloud (common random numbers).  The pick is the smallest |s| whose
+    score is within one stderr of the best, so noise alone does not pull it
+    off the centre.  The search cloud is then released, and the pick's ratio
+    and stderr come from a fresh cloud over the reach (1 + |s|) t of B(y, t)
+    alone, on its own substream: a max over candidates never reaches the
+    report, so the ratio carries no selection bias.  The centred ratio is the
+    search cloud's score at s = 0.  With unit None only the centre is scored.
+    """
     model = spec.model
-
-    def score(w):
-        y = model.multiply(spec.x, model.dilate(t, w))
-        return ratio_on_cloud(cloud, gauge, y, spec)
-
-    w0 = model.identity()
-    c0, s0 = score(w0)
-    best_w, best, best_se = w0, c0, s0
-    if optimize:
-        starts = [w0] + _ball_starts(gauge, sched.multistart_count - 1, sched.seed, k)
-        for w_start in starts:
-            w, val, se = _pattern_search(score, w_start, gauge, sched.local_steps)
-            if val > best:
-                best_w, best, best_se = w, val, se
-    y_best = model.multiply(spec.x, model.dilate(t, best_w))
+    cloud = sample_patch(spec, gauge, t, sched.samples_per_ball, seed=sched.seed, key=(k,))
+    n, failures, expansions = cloud.n_samples, cloud.failures, cloud.expansions
+    scan = SCAN if unit is not None else np.zeros(1)
+    offsets = [model.identity() if s == 0.0 else s * unit for s in scan]
+    scores = [
+        ratio_on_cloud(cloud, gauge, model.multiply(spec.x, model.dilate(t, w)), spec)
+        for w in offsets
+    ]
+    del cloud  # never held alongside the rescore cloud
+    c0, s0 = scores[len(scan) // 2]
+    best, best_se = max(scores)
+    pick = min((i for i, (v, _) in enumerate(scores) if v >= best - best_se),
+               key=lambda i: (abs(scan[i]), -scores[i][0]))
+    w = offsets[pick]
+    y = model.multiply(spec.x, model.dilate(t, w))
+    ratio, se = c0, s0
+    if unit is not None:
+        fresh = sample_patch(spec, gauge, t, sched.samples_per_ball, seed=sched.seed,
+                             key=(k, RESCORE_KEY), reach=(1.0 + abs(scan[pick])) * t)
+        ratio, se = ratio_on_cloud(fresh, gauge, y, spec)
+        failures += fresh.failures
+        expansions += fresh.expansions
     return RadiusRecord(
-        t, best, best_se, c0, s0, tuple(best_w.tolist()), tuple(y_best.tolist()),
-        cloud.n_samples, cloud.failures,
+        t, ratio, se, c0, s0, tuple(w.tolist()), tuple(y.tolist()), n, failures, expansions,
     )
-
-
-def _ball_starts(gauge, count, seed, k):
-    if count <= 0:
-        return []
-    rng = substream(seed, k, 777)
-    hw = gauge.ball_box_halfwidths(1.0)
-    out = []
-    for _ in range(200):
-        draw = rng.uniform(-1.0, 1.0, size=(max(4 * count, 16), gauge.model.n)) * hw
-        for w in draw[gauge.in_ball(draw)]:
-            out.append(w)
-            if len(out) == count:
-                return out
-    return out  # degenerate ball: search just falls back to fewer starts
-
-
-def _clamp_to_ball(gauge, pts):
-    """The rows of pts, each dilated into the unit ball when outside it.
-
-    One norm_many call for all rows; a batched norm equals the one-row norm
-    bit for bit.
-    """
-    norms = gauge.norm_many(pts)
-    return [gauge.model.dilate(1.0 / nw, w) if nw > 1.0 else w for w, nw in zip(pts, norms)]
-
-
-def _pattern_search(score, w0, gauge, budget):
-    """Compass search on the center offset w, clamped to the unit ball.
-
-    The objective is deterministic on the frozen cloud, so plain greedy
-    moves are reliable; no gradients exist through the hit indicator.  An
-    improving move goes on to the next coordinate from the new w, so only
-    the +/- pair of one coordinate is known in advance and clamped together.
-    """
-    model = gauge.model
-    (w,) = _clamp_to_ball(gauge, np.asarray(w0, dtype=float)[None])
-    val, se = score(w)
-    step = PATTERN_STEP0
-    evals = 0
-    while evals < budget and step >= PATTERN_MIN_STEP:
-        improved = False
-        for j in range(model.n):
-            pair = np.stack([w, w])
-            pair[:, j] += (step, -step)
-            for cand in _clamp_to_ball(gauge, pair):
-                cval, cse = score(cand)
-                evals += 1
-                if cval > val:
-                    w, val, se = cand, cval, cse
-                    improved = True
-                    break
-                if evals >= budget:
-                    break
-            if evals >= budget:
-                break
-        if not improved:
-            step *= 0.5
-    return w, val, se
 
 
 def _tail_average(estimates, seed, tail: int = 3):

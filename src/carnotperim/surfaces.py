@@ -210,8 +210,9 @@ class PatchCloud:
     points are Phi(eta) for uniform eta in the box; alpha is the perimeter
     density; bracketed marks samples whose height bisection found a sign
     change, and ok those of them with a usable density.
-    Membership in any ball B(y, t) with y within t of the base point can be
-    tested against this one cloud (common random numbers).
+    Membership in any ball B(y, t) inside the reach the cloud was drawn for
+    (see sample_patch) can be tested against this one cloud (common random
+    numbers).
 
     order lists the ok samples sorted by their coordinate on the horizontal
     axis sort_axis, along which they spread widest, and sorted_points holds
@@ -239,22 +240,22 @@ class PatchCloud:
         return len(self.alpha)
 
 
-def _reach_bounds(spec: SurfaceSpec, gauge: Gauge, t: float):
-    """Per-coordinate bounds on parameters of points reachable by B(y, t)
-    with y within t of the base point.
+def _reach_bounds(spec: SurfaceSpec, gauge: Gauge, reach: float):
+    """Per-coordinate bounds on parameters of points within distance reach of
+    the base point.
 
-    Such points satisfy d(Phi(eta), x) <= 2t, i.e. eta * (phi e1) lies in
-    B(0, 2t).  The first layer of that product splits orthogonally into eta's
-    kernel block and phi*e1, so both are bounded by the horizontal block
-    radius at 2t; the vertical block picks up one bracket cross term.
+    Such points satisfy d(Phi(eta), x) <= reach, i.e. eta * (phi e1) lies in
+    B(0, reach).  The first layer of that product splits orthogonally into
+    eta's kernel block and phi*e1, so both are bounded by the horizontal
+    block radius at reach; the vertical block picks up one bracket cross term.
     """
     model = spec.model
     radii = gauge.block_radii()
-    h = 2.0 * t * radii[0]
+    h = reach * radii[0]
     out = np.empty(model.n - 1)
     out[: model.m1 - 1] = h
     if model.m2:
-        out[model.m1 - 1 :] = (2.0 * t) ** 2 * radii[1] + 0.5 * model.bracket_bound * h * h
+        out[model.m1 - 1 :] = reach**2 * radii[1] + 0.5 * model.bracket_bound * h * h
     return out
 
 
@@ -265,13 +266,17 @@ def sample_patch(
     n_samples: int,
     seed: int = 7,
     key: tuple = (),
+    reach: float | None = None,
 ) -> PatchCloud:
-    """Draw the parameter cloud for balls of radius t around the base point.
+    """Draw the parameter cloud for balls of radius t near the base point.
 
-    The box starts from provable bounds on the reachable parameters (with
-    slack) and expands per layer block while reachable samples touch that
-    block's shell; failure to stabilize, or a bracket-failure fraction above
-    0.1% among samples inside the provable bounds, raises RegionError.
+    The cloud covers every ball B(y, t) inside B(x, reach), x the base point,
+    i.e. with y within reach - t of x; reach defaults to 2t, which covers
+    every y within t.  The box starts from provable bounds on the parameters
+    within reach (with slack) and expands per layer block while samples
+    within reach touch that block's shell; failure to stabilize, or a
+    bracket-failure fraction above 0.1% among samples inside the provable
+    bounds, raises RegionError.
     """
     model = spec.model
     if t <= 0:
@@ -279,13 +284,16 @@ def sample_patch(
     n_samples = int(n_samples)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    bounds = _reach_bounds(spec, gauge, t)
-    slack = np.full(model.n - 1, 0.5 * BOX_FACTOR)  # bounds already carry the factor 2
+    reach = 2.0 * t if reach is None else float(reach)
+    if reach < t:
+        raise ValueError("reach must be at least the radius")
+    bounds = _reach_bounds(spec, gauge, reach)
+    slack = np.full(model.n - 1, 0.5 * BOX_FACTOR)  # a 15% margin over the provable bounds
     expansions = 0
     for attempt in range(MAX_BOX_ATTEMPTS):
         hw = slack * bounds
         cloud = _draw_cloud(spec, gauge, t, n_samples, hw, seed, key + (attempt,))
-        near = gauge.in_ball(cloud.points, radius=2.0 * t, center=spec.x)
+        near = gauge.in_ball(cloud.points, radius=reach, center=spec.x)
         reach = near & cloud.ok
         if not reach.any():
             break
@@ -321,7 +329,8 @@ def sample_patch(
     axis = 0
     if len(ok_rows):  # column by column: a gathered copy of the ok points costs peak memory
         axis = int(np.argmax([np.ptp(cloud.points[ok_rows, j]) for j in range(model.m1)]))
-    order = ok_rows[np.argsort(cloud.points[ok_rows, axis], kind="stable")]
+    # a window holds every sample with its key, so ties may come in any order
+    order = ok_rows[np.argsort(cloud.points[ok_rows, axis])]
     sorted_points = np.empty((len(order), model.n), order="F")
     for j in range(model.n):  # take's default mode would buffer each column
         np.take(cloud.points[:, j], order, out=sorted_points[:, j], mode="clip")
@@ -427,8 +436,8 @@ class PerimeterEstimate:
 def ratio_on_cloud(cloud: PatchCloud, gauge: Gauge, y, spec: SurfaceSpec):
     """Perimeter of B(y, t) over t^(Q-1) evaluated on a frozen cloud.
 
-    Returns (ratio, stderr); y must lie within the cloud's coverage, i.e.
-    within distance t of the surface base point.
+    Returns (ratio, stderr); B(y, t) must lie within the cloud's reach, i.e.
+    y within reach - t of the surface base point (t for the default reach).
 
     B(y, t) lies in the translate by y of the box whose layer blocks are
     bounded by the gauge's block radii at scale t, so only the ok samples in

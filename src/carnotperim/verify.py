@@ -302,9 +302,7 @@ def run_all(
     ]
     if model.step == 2:
         if blowup_sched is None:
-            blowup_sched = default_schedule(
-                t0=0.4, halvings=3, samples_per_ball=40_000, seed=seed, local_steps=12
-            )
+            blowup_sched = default_schedule(t0=0.4, halvings=3, samples_per_ball=40_000, seed=seed)
         plane = vertical_plane(model, nu)
         reports.append(
             blowup_suite([plane], gauge, sched=blowup_sched, seed=seed,

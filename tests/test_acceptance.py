@@ -121,8 +121,7 @@ def test_criterion_4_upper_blowup(koranyi, h1):
 
 def test_criterion_5_convex_density_coincidence(koranyi, dinf2, starball, h1):
     surf = coordinate_plane(h1)
-    sched = default_schedule(t0=0.4, halvings=4, samples_per_ball=100_000, seed=7,
-                             multistart_count=4, local_steps=16)
+    sched = default_schedule(t0=0.4, halvings=4, samples_per_ball=100_000, seed=7)
     details = []
     ok = True
     for gauge in (koranyi, dinf2, starball):
@@ -206,7 +205,7 @@ def test_criterion_8_cli_determinism(tmp_path):
         ["verify", "--suite", "symmetry", "--gauge", "dinf:eps2=2", "--samples", "4000",
          "--seed", "5"],
         ["blowup", "--surface", "vplane:nu=1,0", "--gauge", "koranyi", "--radii", "0.4:2",
-         "--samples", "10000", "--multistart", "2", "--local-steps", "6", "--seed", "9"],
+         "--samples", "10000", "--seed", "9"],
     ]
     ok = True
     for i, argv in enumerate(cases):

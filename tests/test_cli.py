@@ -85,7 +85,7 @@ def test_beta_json_output(tmp_path):
 
 # a small blowup run for the gauge-guard cases
 BLOWUP_SMALL = ["blowup", "--surface", "vplane:nu=1,0", "--radii", "0.2:1",
-                "--samples", "2000", "--multistart", "1", "--local-steps", "2"]
+                "--samples", "2000"]
 
 
 def test_beta_dinf_requires_calibration(tmp_path, capsys):
@@ -154,8 +154,7 @@ def test_beta_constancy_csv(tmp_path):
 def test_blowup_csv(tmp_path):
     out = tmp_path / "blowup.csv"
     code = main(["blowup", "--surface", "vplane:nu=1,0", "--gauge", "koranyi",
-                 "--radii", "0.4:2", "--samples", "5000",
-                 "--multistart", "2", "--local-steps", "6", "--out", str(out)])
+                 "--radii", "0.4:2", "--samples", "5000", "--out", str(out)])
     assert code == 0
     lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     assert lines[0] == "t,ratio,stderr,centered_ratio,centered_stderr"
@@ -169,7 +168,7 @@ def test_blowup_skips_refused_radii(tmp_path):
         (["--surface", "tplane", "--radii", "0.8:3", "--samples", "10000"],
          ["0.4", "0.2", "0.1"]),
         (["--surface", "expr:x3-0.2*x2^2", "--point", "1,0,0", "--radii", "0.3:2",
-          "--samples", "10000", "--multistart", "2", "--local-steps", "4"],
+          "--samples", "10000"],
          ["0.15", "0.075"]),
     )
     for i, (argv, radii) in enumerate(cases):

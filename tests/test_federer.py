@@ -16,10 +16,7 @@ from conftest import KORANYI_PSI0
 
 
 def small_sched(seed=7, samples=60_000, halvings=3):
-    return default_schedule(
-        t0=0.4, halvings=halvings, samples_per_ball=samples, seed=seed,
-        multistart_count=4, local_steps=16,
-    )
+    return default_schedule(t0=0.4, halvings=halvings, samples_per_ball=samples, seed=seed)
 
 
 def test_schedule_validation():
@@ -54,11 +51,46 @@ def test_halfspace_centered_ratio_scale_free(h1, koranyi):
             assert dev <= 3.0 * np.hypot(a.centered_stderr, b.centered_stderr)
 
 
-def test_centered_never_beats_best_on_shared_cloud(h1, koranyi):
-    surf = coordinate_plane(h1)
-    rep = federer_density(surf, koranyi, sched=small_sched(samples=40_000))
-    for rec in rep.records:
-        assert rec.centered_ratio <= rec.ratio + 1e-12  # same cloud: exact bound
+def scan_scores(monkeypatch):
+    """Record every ratio_on_cloud call of federer as (cloud, centre, score);
+    the clouds are kept alive, so each stays a distinct object."""
+    import carnotperim.federer as federer_module
+
+    calls = []
+    real_ratio = federer_module.ratio_on_cloud
+
+    def recording_ratio(cloud, gauge, y, spec):
+        out = real_ratio(cloud, gauge, y, spec)
+        calls.append((cloud, np.array(y), out))
+        return out
+
+    monkeypatch.setattr(federer_module, "ratio_on_cloud", recording_ratio)
+    return calls
+
+
+def test_selected_centre_is_within_one_se_of_the_best(h1, koranyi, monkeypatch):
+    # the pick is the smallest |s| whose search-cloud score is within one
+    # stderr of the best scan score, hence also of the centred score
+    from carnotperim.federer import SCAN
+
+    calls = scan_scores(monkeypatch)
+    rep = federer_density(coordinate_plane(h1), koranyi, sched=small_sched(samples=40_000))
+    per_radius = len(SCAN) + 1
+    assert len(calls) == per_radius * len(rep.records)
+    for i, rec in enumerate(rep.records):
+        scan = calls[i * per_radius : (i + 1) * per_radius - 1]
+        values = [v for _, _, (v, _) in scan]
+        best_v, best_se = max(c[2] for c in scan)
+        picked = [j for j, (_, y, _) in enumerate(scan) if np.array_equal(y, rec.best_center)]
+        assert len(picked) == 1
+        j = picked[0]
+        assert values[j] >= rec.centered_ratio - best_se
+        assert values[j] >= best_v - best_se
+        assert all(values[i2] < best_v - best_se for i2 in range(len(SCAN))
+                   if abs(SCAN[i2]) < abs(SCAN[j]))
+        assert (rec.centered_ratio, rec.centered_stderr) == scan[len(SCAN) // 2][2]
+        # the reported ratio is the rescore on the last, fresh cloud
+        assert (rec.ratio, rec.stderr) == calls[(i + 1) * per_radius - 1][2]
 
 
 def test_convex_gauge_center_degeneracy(h1, koranyi):
@@ -73,8 +105,7 @@ def test_convex_gauge_center_degeneracy(h1, koranyi):
 
 def test_tplane_density_converges_to_beta(h1, koranyi):
     surf = coordinate_plane(h1)
-    sched = default_schedule(t0=0.4, halvings=4, samples_per_ball=60_000, seed=7,
-                             multistart_count=4, local_steps=16)
+    sched = default_schedule(t0=0.4, halvings=4, samples_per_ball=60_000, seed=7)
     rep = federer_density(surf, koranyi, sched=sched)
     b = beta(koranyi, [0.0, 1.0], n_samples=100_000, seed=11)
     tol = max(0.05 * b.value.value, 3.0 * joint_stderr(rep.extrapolated_theta, b.value))
@@ -98,7 +129,7 @@ def test_centered_density_equals_federer_centered_extrapolation(h1, koranyi):
         assert not rep.truncated
         assert centered_density(surf, koranyi, sched=sched) == rep.centered_extrapolated
     surf = coordinate_plane(h1)
-    sched = DensitySchedule((0.8, 0.4, 0.2, 0.1), 2, 4, 10_000, 7)
+    sched = DensitySchedule((0.8, 0.4, 0.2, 0.1), 10_000, 7)
     rep = federer_density(surf, koranyi, sched=sched)
     assert tuple(r.t for r in rep.records) == (0.4, 0.2, 0.1)
     assert rep.truncated
@@ -136,19 +167,21 @@ def test_anchor_point_enforced(h1, koranyi):
 
 def test_scoring_gauge_sees_under_a_tenth_of_the_cloud(h1, koranyi, monkeypatch):
     # deterministic guard against a silent fallback to full-cloud scoring:
-    # count the rows ratio_on_cloud hands to the gauge per call
+    # count the rows ratio_on_cloud hands to the gauge per call on the
+    # search clouds (the rescore cloud spans little more than its one ball)
     import carnotperim.federer as federer_module
+    from carnotperim.federer import SCAN
     from carnotperim.gauges import Gauge
 
     per_call, active = [], []
     real_ratio, real_in_ball = federer_module.ratio_on_cloud, Gauge.in_ball
 
-    def counted_ratio(*args):
+    def counted_ratio(cloud, *args):
         active.append(0)
         try:
-            return real_ratio(*args)
+            return real_ratio(cloud, *args)
         finally:
-            per_call.append(active.pop())
+            per_call.append((cloud, active.pop()))
 
     def counted_in_ball(self, pts, *args, **kwargs):
         if active:
@@ -160,107 +193,89 @@ def test_scoring_gauge_sees_under_a_tenth_of_the_cloud(h1, koranyi, monkeypatch)
     samples = 20_000
     sched = default_schedule(t0=0.2, halvings=1, samples_per_ball=samples, seed=7)
     federer_density(coordinate_plane(h1), koranyi, sched=sched)
-    assert len(per_call) > 100
-    assert 0 < max(per_call) < 0.1 * samples
+    clouds = {id(c): c for c, _ in per_call}
+    rows = {k: [n for c, n in per_call if id(c) == k] for k in clouds}
+    search = [r for r in rows.values() if len(r) > 1]
+    assert len(search) == 2 and all(len(r) == len(SCAN) for r in search)
+    assert 0 < max(max(r) for r in search) < 0.1 * samples
 
 
-def one_row_pattern_search(score, w0, gauge, budget):
-    """The compass search as it was when every candidate was clamped with
-    its own one-row norm call."""
-    from carnotperim.federer import PATTERN_MIN_STEP, PATTERN_STEP0
-
-    def clamp(w):
-        nw = gauge.norm(w)
-        return gauge.model.dilate(1.0 / nw, w) if nw > 1.0 else w
-
-    w = clamp(np.asarray(w0, dtype=float))
-    val, se = score(w)
-    step, evals = PATTERN_STEP0, 0
-    while evals < budget and step >= PATTERN_MIN_STEP:
-        improved = False
-        for j in range(gauge.model.n):
-            for sign in (1.0, -1.0):
-                cand = w.copy()
-                cand[j] += sign * step
-                cand = clamp(cand)
-                cval, cse = score(cand)
-                evals += 1
-                if cval > val:
-                    w, val, se = cand, cval, cse
-                    improved = True
-                    break
-                if evals >= budget:
-                    break
-            if evals >= budget:
-                break
-        if not improved:
-            step *= 0.5
-    return w, val, se
-
-
-@pytest.mark.parametrize("group", ["h1", "h2"])
-@pytest.mark.parametrize("surface", ["tplane", "vplane"])
-@pytest.mark.parametrize("spec", ["koranyi", "aniso", "starball:rho=0.5"])
-def test_pattern_search_matches_one_row_clamps(request, group, surface, spec):
-    from carnotperim import parse_gauge, parse_surface
-    from carnotperim.federer import _ball_starts, _pattern_search
-    from carnotperim.surfaces import ratio_on_cloud, sample_patch
-
-    model = request.getfixturevalue(group)
-    if surface == "vplane":
-        surface = "vplane:nu=1,1" + ",0" * (model.m1 - 2)
-    surf, gauge, t = parse_surface(model, surface), parse_gauge(model, spec), 0.2
-    cloud = sample_patch(surf, gauge, t, 5000, seed=3)
-
-    def score(w):
-        return ratio_on_cloud(cloud, gauge, model.multiply(surf.x, model.dilate(t, w)), surf)
-
-    for w0 in [model.identity()] + _ball_starts(gauge, 2, 3, 0):
-        got = _pattern_search(score, w0, gauge, 24)
-        want = one_row_pattern_search(score, w0, gauge, 24)
-        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
-
-
-def test_pattern_search_clamps_each_pair_with_one_norm_call(h1, monkeypatch):
-    # deterministic guard: one star_norm call for the start of each search,
-    # then one per coordinate pair, never one per candidate
+def test_each_radius_draws_two_clouds_and_scores_the_scan_once(h1, monkeypatch):
+    # deterministic perf guard: one search cloud scored at most len(SCAN)
+    # times and one rescore cloud scored once per radius (the compass search
+    # scored about 126 candidates on a single cloud)
     import carnotperim.federer as federer_module
-    import carnotperim.gauges as gauges_module
+    from carnotperim import parse_gauge
 
-    searches, active = [], []
-    real_search, real_star = federer_module._pattern_search, gauges_module.star_norm
-    real_ratio = federer_module.ratio_on_cloud
+    draws = []
+    real_patch = federer_module.sample_patch
 
-    def counted_search(*args):
-        searches.append({"rows": [], "scores": 0})
-        active.append(searches[-1])
-        try:
-            return real_search(*args)
-        finally:
-            active.pop()
+    def counted_patch(*args, **kwargs):
+        cloud = real_patch(*args, **kwargs)
+        draws.append(cloud)
+        return cloud
 
-    def counted_star(model, oracle, p, *args):
-        if active:
-            active[-1]["rows"].append(len(p))
-        return real_star(model, oracle, p, *args)
+    calls = scan_scores(monkeypatch)
+    monkeypatch.setattr(federer_module, "sample_patch", counted_patch)
+    cases = ((coordinate_plane(h1), "koranyi"), (vertical_plane(h1, [1.0, 0.0]), "starball:rho=0.5"))
+    for surf, spec in cases:
+        draws.clear()
+        calls.clear()
+        sched = default_schedule(t0=0.2, halvings=2, samples_per_ball=5000, seed=7)
+        rep = federer_density(surf, parse_gauge(h1, spec), sched=sched)
+        assert len(rep.records) == 3 and len(draws) == 2 * len(rep.records)
+        scored = [c for c, _, _ in calls]
+        for search, rescore in zip(draws[::2], draws[1::2]):
+            assert 1 <= sum(c is search for c in scored) <= 21
+            assert sum(c is rescore for c in scored) == 1
 
-    def counted_ratio(*args):
-        if active:
-            active[-1]["scores"] += 1
-        return real_ratio(*args)
 
-    monkeypatch.setattr(federer_module, "_pattern_search", counted_search)
-    monkeypatch.setattr(gauges_module, "star_norm", counted_star)
-    monkeypatch.setattr(federer_module, "ratio_on_cloud", counted_ratio)
-    gauge = gauges_module.parse_gauge(h1, "starball:rho=0.5")
-    sched = default_schedule(t0=0.4, halvings=1, samples_per_ball=5000, seed=7)
-    federer_density(vertical_plane(h1, [1.0, 0.0]), gauge, sched=sched)
-    assert len(searches) == 2 * sched.multistart_count
-    for s in searches:
-        start, pairs, candidates = s["rows"][0], s["rows"][1:], s["scores"] - 1
-        assert start == 1 and pairs and all(rows == 2 for rows in pairs)
-        # every pair scores its + candidate, and its - one only if + fails
-        assert len(pairs) <= candidates <= 2 * len(pairs)
+def test_rescore_streams_are_disjoint_from_the_search_streams(h1, koranyi, monkeypatch):
+    # the rescore must not reuse a random stream of any search cloud, or the
+    # selection bias would come back: search clouds draw on (seed, k, attempt,
+    # batch) for every box attempt, and no rescore stream has that form
+    import carnotperim.federer as federer_module
+    import carnotperim.mc as mc_module
+    from carnotperim.surfaces import MAX_BOX_ATTEMPTS
+
+    role, streams = [], {"search": set(), "rescore": set()}
+    real_patch, real_substream = federer_module.sample_patch, mc_module.substream
+
+    def tagged_patch(*args, **kwargs):
+        role.append("rescore" if len(role) % 2 else "search")
+        return real_patch(*args, **kwargs)
+
+    def recording_substream(seed, *key):
+        streams[role[-1]].add((seed,) + key)
+        return real_substream(seed, *key)
+
+    monkeypatch.setattr(federer_module, "sample_patch", tagged_patch)
+    monkeypatch.setattr(mc_module, "substream", recording_substream)
+    sched = DensitySchedule((0.4, 0.2, 0.1), 5000, 7)
+    federer_density(coordinate_plane(h1), koranyi, sched=sched)
+    assert streams["search"] and streams["rescore"]
+    assert not streams["search"] & streams["rescore"]
+    assert all(len(k) == 4 and k[2] < MAX_BOX_ATTEMPTS for k in streams["search"])
+    assert not any(len(k) == 4 and k[2] < MAX_BOX_ATTEMPTS for k in streams["rescore"])
+
+
+@pytest.mark.parametrize("surface, spec, exact", [
+    ("tplane", "koranyi", KORANYI_PSI0),
+    ("vplane:nu=1,0", "starball:rho=0.5", np.pi / 4.0),
+])
+def test_blowup_theta_covers_the_exact_density(h1, surface, spec, exact):
+    # seeded coverage: the debiased estimate sits within 3 se of the exact
+    # density on every seed, and its z-scores average out near zero
+    from carnotperim import parse_gauge, parse_surface
+
+    surf, gauge = parse_surface(h1, surface), parse_gauge(h1, spec)
+    zs = []
+    for seed in range(12):
+        sched = default_schedule(t0=0.1, halvings=2, samples_per_ball=5000, seed=seed)
+        theta = federer_density(surf, gauge, sched=sched).extrapolated_theta
+        zs.append((theta.value - exact) / theta.stderr)
+    assert max(abs(z) for z in zs) <= 3.0, zs
+    assert abs(float(np.mean(zs))) <= 1.0, zs
 
 
 def test_tail_estimates_count_the_tail_samples(h1, koranyi):

@@ -38,15 +38,14 @@ CASES = (
       "--seed", "7")),
     ("blowup_tplane.csv",
      ("blowup", "--surface", "tplane", "--gauge", "koranyi", "--radii", "0.4:2",
-      "--samples", "5000", "--multistart", "2", "--local-steps", "4", "--seed", "7")),
+      "--samples", "5000", "--seed", "7")),
     ("blowup_tplane_h2.csv",
      ("blowup", "--group", "heisenberg:2", "--surface", "tplane", "--gauge", "koranyi",
-      "--radii", "0.2:2", "--samples", "5000", "--multistart", "2", "--local-steps", "4",
-      "--seed", "7")),
+      "--radii", "0.2:2", "--samples", "5000", "--seed", "7")),
     ("blowup_vplane_starball_h2.csv",
      ("blowup", "--group", "heisenberg:2", "--surface", "vplane:nu=1,1,0,0",
       "--gauge", "starball:rho=0.5", "--radii", "0.2:2", "--samples", "5000",
-      "--multistart", "2", "--local-steps", "4", "--seed", "7")),
+      "--seed", "7")),
     ("verify_blowup_starball.json",
      ("verify", "--suite", "blowup", "--gauge", "starball:rho=0.5", "--samples", "5000",
       "--seed", "7")),

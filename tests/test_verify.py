@@ -84,8 +84,7 @@ def test_busemann_suite_twoball_hypothesis_unmet(twoball):
 
 def test_blowup_suite_vplane(h1, koranyi):
     plane = vertical_plane(h1, [1.0, 0.0])
-    sched = default_schedule(t0=0.4, halvings=3, samples_per_ball=40_000, seed=7,
-                             multistart_count=4, local_steps=12)
+    sched = default_schedule(t0=0.4, halvings=3, samples_per_ball=40_000, seed=7)
     rep = blowup_suite([plane], koranyi, sched=sched, seed=7, rel_tol=0.02,
                        beta_samples=60_000)
     assert rep.outcome == PASS
@@ -99,8 +98,7 @@ def test_blowup_suite_vplane(h1, koranyi):
 def test_blowup_suite_dinf_rectangle(h1, dinf2):
     # implied constants for the rectangle ball: omega = 4 / eps2^2, c = omega / 8
     plane = vertical_plane(h1, [1.0, 0.0])
-    sched = default_schedule(t0=0.4, halvings=3, samples_per_ball=40_000, seed=7,
-                             multistart_count=4, local_steps=12)
+    sched = default_schedule(t0=0.4, halvings=3, samples_per_ball=40_000, seed=7)
     rep = blowup_suite([plane], dinf2, sched=sched, seed=7, beta_samples=60_000)
     assert rep.outcome == PASS
     omega = rep.info["points"][0]["ball_constants"]["omega"]
