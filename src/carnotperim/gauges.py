@@ -262,11 +262,10 @@ def star_norm(model: GroupModel, oracle, p: Point, tol: float = _STAR_TOL):
 
 def _star_norm_active(model, oracle, pts, tol):
     k = pts.shape[0]
-    # per call, not per step: the coordinates as contiguous rows, one
-    # C-contiguous dilated block (the star oracles' einsum rounds by layout)
-    # and the second layer's exponents
-    pts_t = pts.T.copy()
-    dilated = np.empty(pts.shape)
+    # per call, not per step: a dilated block with contiguous columns and
+    # the second layer's exponents (membership does not depend on layout)
+    pts_t = pts.T
+    dilated = np.empty(pts.shape[::-1]).T
     twos = np.full(k, 2.0)
     every_row = _dilation_operands(model, pts_t, dilated, twos)
 
@@ -318,7 +317,7 @@ def _star_norm_active(model, oracle, pts, tol):
 
 def _dilation_operands(model, pts_t, out, twos):
     """The operands of _dilate_inv for the points whose coordinates are the
-    rows of pts_t, dilated into the first rows of the C-contiguous block out."""
+    rows of pts_t, dilated into the first rows of the block out."""
     (n, k), m1 = pts_t.shape, model.m1
     out = out[:k]
     second = [(pts_t[j], out[:, j]) for j in range(m1, n)]
@@ -395,7 +394,7 @@ def euclidean_ball_gauge(model: GroupModel, rho: float, tol: float = _STAR_TOL) 
         raise GaugeDefinitionError("starball radius must be positive")
 
     def oracle(pts):
-        return np.einsum("...i,...i->...", pts, pts) <= rho * rho
+        return _sum_sq(pts) <= rho * rho
 
     radii = [rho] * model.step
     return StarBodyGauge(
@@ -432,7 +431,7 @@ def two_ball_gauge(
             raise GaugeDefinitionError("each ball must contain the identity: need |z| < r")
 
     def oracle(pts):
-        h2 = np.einsum("...i,...i->...", pts[..., :-1], pts[..., :-1])
+        h2 = _sum_sq(pts[..., :-1])
         u = pts[..., -1]
         in1 = h2 + (u - z1) ** 2 <= r1 * r1
         in2 = h2 + (u - z2) ** 2 <= r2 * r2

@@ -459,8 +459,6 @@ def ratio_on_cloud(cloud: PatchCloud, gauge: Gauge, y, spec: SurfaceSpec):
         v = t * t * radii[1]
         in_box &= _sum_sq(model.v2(rel)) <= v * v
     rows = np.flatnonzero(in_box)
-    # fancy indexing gathers C-contiguous rows, the layout a full scan hands
-    # the gauge: the star-body oracles' einsum rounds by layout
     hits = cloud.order[lo + rows[gauge.in_ball(rel[rows], radius=t)]]
     w = np.zeros(cloud.n_samples)
     w[hits] = cloud.alpha[hits]

@@ -245,7 +245,7 @@ def test_plane_fields_round_alike_in_both_layouts(h2):
     assert np.array_equal(graph.f(np.asfortranarray(pts)), graph.f(pts))
 
 
-def test_blowup_kernels_see_column_major_layouts(h1, monkeypatch):
+def test_blowup_kernels_see_column_major_layouts(h1):
     spec = parse_surface(h1, "tplane")
     gauge = parse_gauge(h1, "starball:rho=0.5")
     layouts = []
@@ -257,17 +257,6 @@ def test_blowup_kernels_see_column_major_layouts(h1, monkeypatch):
     cloud = sample_patch(replace(spec, f=f), gauge, 0.2, 5000, seed=7)
     assert layouts and set(layouts) == {((5000, h1.n), True)}
     assert cloud.sorted_points.flags.f_contiguous and not cloud.sorted_points.flags.c_contiguous
-
-    rows = []
-    in_ball = gauge.in_ball
-
-    def recording_in_ball(pts, radius=1.0, center=None):
-        rows.append(pts.flags.c_contiguous)
-        return in_ball(pts, radius, center)
-
-    monkeypatch.setattr(gauge, "in_ball", recording_in_ball)
-    assert ratio_on_cloud(cloud, gauge, spec.x, spec)[0] > 0.0
-    assert rows == [True]
 
 
 def test_graph_height_bracket_error(h1):
