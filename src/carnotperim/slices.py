@@ -150,8 +150,9 @@ def support_radius(gauge: Gauge, nu, seed: int = 7, rel_tol: float = 1e-9) -> fl
     vertical 0), which finds the widest slice also where it lies off the
     nu-axis; star-shapedness under dilations makes nonemptiness monotone in
     |t|, so bisection applies.  The best probe is then refined by compass
-    search over its horizontal coordinates, where a random cloud is thin
-    once nu-perp has more than one dimension; the bound moves only when the
+    search over all its coordinates, since a random cloud is thin once
+    nu-perp has more than one dimension and misses narrow vertical optima
+    (twoball's larger ball sits at height -0.55); the bound moves only when the
     refined probe, dilated to the slice at (1 + 1e-6) times the upper end of
     the first bisection, lies in the ball, and then bisection continues
     along the refined probe's dilation ray.
@@ -212,10 +213,9 @@ def _refined_probe(gauge, nu, perp, coords):
     """Slice coordinates at t = 1 of small gauge norm, as a (1, n-1) array.
 
     Starts from the row of coords with the smallest norm and runs a compass
-    search over the m1-1 horizontal coordinates, halving the step from the
-    horizontal block radius down to 1e-6 of it.  A smaller norm at t = 1
-    means a wider reach: the probe's dilation to t stays in the ball up to
-    t = 1 / norm.
+    search over all n-1 coordinates, each layer's step halving from its block
+    radius down to 1e-6 of it.  A smaller norm at t = 1 means a wider reach:
+    the probe's dilation to t stays in the ball up to t = 1 / norm.
     """
     model = gauge.model
 
@@ -225,13 +225,13 @@ def _refined_probe(gauge, nu, perp, coords):
     f = norms(coords)
     best = int(np.argmin(f))
     x, fx = coords[best], f[best]
-    m = model.m1 - 1
-    moves = np.vstack([np.eye(m), -np.eye(m)])
-    step = float(gauge.block_radii()[0])
-    stop = 1e-6 * step
-    while m and step > stop:
-        trial = np.repeat(x[None], 2 * m, axis=0)
-        trial[:, :m] += step * moves
+    radii = gauge.block_radii()
+    scale = np.full(model.n - 1, float(radii[0]))
+    scale[model.m1 - 1 :] = radii[-1]
+    moves = np.vstack([np.diag(scale), -np.diag(scale)])
+    step = 1.0
+    while step > 1e-6:
+        trial = x + step * moves
         ft = norms(trial)
         j = int(np.argmin(ft))
         if ft[j] < fx:

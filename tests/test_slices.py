@@ -10,7 +10,7 @@ from carnotperim import (
     slice_profile,
     support_radius,
 )
-from carnotperim.gauges import sample_in_ball
+from carnotperim.gauges import parse_gauge, sample_in_ball
 from carnotperim.mc import joint_stderr, substream
 from carnotperim.slices import slice_area_at_center
 
@@ -150,6 +150,16 @@ def test_support_radius(koranyi, dinf2, twoball, disc):
     assert support_radius(disc, [1.0, 0.0]) == pytest.approx(1.0, abs=1e-6)
     # the two-ball body reaches |t| = max radius through off-axis points
     assert support_radius(twoball, [1.0, 0.0]) == pytest.approx(1.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_twoball_support_radius_is_exact(n):
+    # the larger ball (radius 1, centre height -0.55) reaches |t| = 1 only at
+    # that height, which the random vertical probes miss: the compass
+    # refinement must move the vertical coordinate as well
+    gauge = parse_gauge(heisenberg(n), "twoball")
+    for nu in (np.eye(2 * n)[0], np.ones(2 * n) / np.sqrt(2 * n)):
+        assert abs(support_radius(gauge, nu) - 1.0) <= 1e-6
 
 
 def test_support_radius_off_axis(h1):
