@@ -235,17 +235,14 @@ def _radius_record(spec, gauge, t, sched, k, unit):
     n, failures, expansions = cloud.n_samples, cloud.failures, cloud.expansions
     scan = SCAN if unit is not None else np.zeros(1)
     offsets = [model.identity() if s == 0.0 else s * unit for s in scan]
-    scores = [
-        ratio_on_cloud(cloud, gauge, model.multiply(spec.x, model.dilate(t, w)), spec)
-        for w in offsets
-    ]
+    centres = [model.multiply(spec.x, model.dilate(t, w)) for w in offsets]
+    scores = [ratio_on_cloud(cloud, gauge, y, spec) for y in centres]
     del cloud  # never held alongside the rescore cloud
     c0, s0 = scores[len(scan) // 2]
     best, best_se = max(scores)
     pick = min((i for i, (v, _) in enumerate(scores) if v >= best - best_se),
                key=lambda i: (abs(scan[i]), -scores[i][0]))
-    w = offsets[pick]
-    y = model.multiply(spec.x, model.dilate(t, w))
+    w, y = offsets[pick], centres[pick]
     ratio, se = c0, s0
     if unit is not None:
         fresh = sample_patch(spec, gauge, t, sched.samples_per_ball, seed=sched.seed,

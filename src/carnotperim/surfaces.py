@@ -294,10 +294,10 @@ def sample_patch(
         hw = slack * bounds
         cloud = _draw_cloud(spec, gauge, t, n_samples, hw, seed, key + (attempt,))
         near = gauge.in_ball(cloud.points, radius=reach, center=spec.x)
-        reach = near & cloud.ok
-        if not reach.any():
+        within = near & cloud.ok
+        if not within.any():
             break
-        touched = np.any(np.abs(cloud.eta_coords[reach]) > BOX_SHELL * hw, axis=0)
+        touched = np.any(np.abs(cloud.eta_coords[within]) > BOX_SHELL * hw, axis=0)
         if not touched.any():
             break
         # grow only the touched blocks so benign directions stay tight

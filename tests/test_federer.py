@@ -230,6 +230,17 @@ def test_each_radius_draws_two_clouds_and_scores_the_scan_once(h1, monkeypatch):
             assert sum(c is rescore for c in scored) == 1
 
 
+def test_records_count_the_box_expansions_of_both_clouds(h1, koranyi, monkeypatch):
+    # a lower shell makes every box grow once; each record reports both
+    # clouds' expansions in its JSON, and the CSV columns stay as they were
+    import carnotperim.surfaces as surfaces_module
+
+    monkeypatch.setattr(surfaces_module, "BOX_SHELL", 0.85)
+    for surf in (coordinate_plane(h1), vertical_plane(h1, [1.0, 0.0])):
+        rep = federer_density(surf, koranyi, sched=small_sched(samples=5000, halvings=1))
+        assert [r.as_dict()["expansions"] for r in rep.records] == [2, 2]
+
+
 def test_rescore_streams_are_disjoint_from_the_search_streams(h1, koranyi, monkeypatch):
     # the rescore must not reuse a random stream of any search cloud, or the
     # selection bias would come back: search clouds draw on (seed, k, attempt,
