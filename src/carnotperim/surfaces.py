@@ -43,6 +43,7 @@ BRACKET_DOUBLINGS = 5
 BISECT_ITERS = 62
 FAIL_FRACTION = 1e-3
 SCORE_SLACK = 1e-9
+SCORE_BLOCK = 1 << 15  # window rows translated and tested at a time
 
 
 @dataclass(frozen=True, eq=False)
@@ -453,15 +454,17 @@ def ratio_on_cloud(cloud: PatchCloud, gauge: Gauge, y, spec: SurfaceSpec):
     key = cloud.sorted_points[:, cloud.sort_axis]
     lo = np.searchsorted(key, y[cloud.sort_axis] - h, side="left")
     hi = np.searchsorted(key, y[cloud.sort_axis] + h, side="right")
-    rel = model.multiply(model.inverse(y), cloud.sorted_points[lo:hi])
-    in_box = _sum_sq(model.v1(rel)) <= h * h
-    if model.m2:
-        v = t * t * radii[1]
-        in_box &= _sum_sq(model.v2(rel)) <= v * v
-    rows = np.flatnonzero(in_box)
-    hits = cloud.order[lo + rows[gauge.in_ball(rel[rows], radius=t)]]
     w = np.zeros(cloud.n_samples)
-    w[hits] = cloud.alpha[hits]
+    for start in range(lo, hi, SCORE_BLOCK):  # blocks bound the working set
+        block = cloud.sorted_points[start : min(start + SCORE_BLOCK, hi)]
+        rel = model.multiply(model.inverse(y), block)
+        in_box = _sum_sq(model.v1(rel)) <= h * h
+        if model.m2:
+            v = t * t * radii[1]
+            in_box &= _sum_sq(model.v2(rel)) <= v * v
+        rows = np.flatnonzero(in_box)
+        hits = cloud.order[start + rows[gauge.in_ball(rel[rows], radius=t)]]
+        w[hits] = cloud.alpha[hits]
     n = cloud.n_samples
     mean = w.sum() / n
     w *= w

@@ -384,7 +384,11 @@ def full_scan_ratio(cloud, gauge, y, spec):
     ]
     + [("r2", "euclidean", "vplane:nu=1,1")],
 )
-def test_ratio_on_cloud_matches_full_scan(request, group, gauge_spec, surface):
+def test_ratio_on_cloud_matches_full_scan(request, group, gauge_spec, surface, monkeypatch):
+    import carnotperim.surfaces as surfaces_module
+
+    # windows split into many blocks must score as one whole-window block
+    monkeypatch.setattr(surfaces_module, "SCORE_BLOCK", 257)
     model = request.getfixturevalue(group)
     gauge = parse_gauge(model, gauge_spec)
     spec = parse_surface(model, surface)
