@@ -39,7 +39,9 @@ from .mc import Estimate, ordered_map
 from .surfaces import SurfaceSpec, ratio_on_cloud, sample_patch
 
 SCAN = np.linspace(-1.0, 1.0, 21)  # offsets s on the normal line; SCAN[10] == 0
-RESCORE_KEY = 1  # rescore clouds draw on (k, RESCORE_KEY, attempt); search clouds on (k, attempt)
+# search clouds draw on substreams (seed, k, attempt, batch), rescore clouds
+# on (seed, k, RESCORE_KEY, attempt, batch): no stream is shared
+RESCORE_KEY = 1
 
 
 @dataclass(frozen=True)

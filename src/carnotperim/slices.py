@@ -152,10 +152,10 @@ def support_radius(gauge: Gauge, nu, seed: int = 7, rel_tol: float = 1e-9) -> fl
     |t|, so bisection applies.  The best probe is then refined by compass
     search over all its coordinates, since a random cloud is thin once
     nu-perp has more than one dimension and misses narrow vertical optima
-    (twoball's larger ball sits at height -0.55); the bound moves only when the
-    refined probe, dilated to the slice at (1 + 1e-6) times the upper end of
-    the first bisection, lies in the ball, and then bisection continues
-    along the refined probe's dilation ray.
+    (twoball's larger ball reaches farthest only at its centre height); the
+    bound moves only when the refined probe, dilated to the slice at
+    (1 + 1e-6) times the upper end of the first bisection, lies in the ball,
+    and then bisection continues along the refined probe's dilation ray.
     """
     model = gauge.model
     nu = direction(model, nu)
