@@ -217,7 +217,8 @@ def test_each_radius_draws_two_clouds_and_scores_the_scan_once(h1, monkeypatch):
 
     calls = scan_scores(monkeypatch)
     monkeypatch.setattr(federer_module, "sample_patch", counted_patch)
-    cases = ((coordinate_plane(h1), "koranyi"), (vertical_plane(h1, [1.0, 0.0]), "starball:rho=0.5"))
+    cases = ((coordinate_plane(h1), "koranyi"),
+             (vertical_plane(h1, [1.0, 0.0]), "starball:rho=0.5"))
     for surf, spec in cases:
         draws.clear()
         calls.clear()
