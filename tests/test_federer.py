@@ -68,6 +68,22 @@ def scan_scores(monkeypatch):
     return calls
 
 
+def test_centered_never_beats_best_on_shared_cloud(h1, koranyi, monkeypatch):
+    # the scan shares one search cloud and holds s = 0, so on that cloud the
+    # centred score is an exact lower bound of the best scan score
+    from carnotperim.federer import SCAN
+
+    calls = scan_scores(monkeypatch)
+    rep = federer_density(coordinate_plane(h1), koranyi, sched=small_sched(samples=40_000))
+    per_radius = len(SCAN) + 1
+    assert len(calls) == per_radius * len(rep.records)
+    for i, rec in enumerate(rep.records):
+        scan = calls[i * per_radius : (i + 1) * per_radius - 1]
+        assert all(c is scan[0][0] for c, _, _ in scan)
+        assert rec.centered_ratio == scan[len(SCAN) // 2][2][0]
+        assert rec.centered_ratio <= max(v for _, _, (v, _) in scan)
+
+
 def test_selected_centre_is_within_one_se_of_the_best(h1, koranyi, monkeypatch):
     # the pick is the smallest |s| whose search-cloud score is within one
     # stderr of the best scan score, hence also of the centred score
@@ -229,6 +245,39 @@ def test_each_radius_draws_two_clouds_and_scores_the_scan_once(h1, monkeypatch):
         for search, rescore in zip(draws[::2], draws[1::2]):
             assert 1 <= sum(c is search for c in scored) <= 21
             assert sum(c is rescore for c in scored) == 1
+
+
+@pytest.mark.parametrize("group", ["h1", "h2"])
+@pytest.mark.parametrize("surface", ["tplane", "vplane"])
+@pytest.mark.parametrize("spec", ["koranyi", "aniso", "starball:rho=0.5"])
+def test_pattern_search_matches_one_row_clamps(request, group, surface, spec, monkeypatch):
+    # the normal-line scan is the search pattern, and its offsets s * unit
+    # have gauge norm |s| <= 1, so it needs no clamp: clamping each centre's
+    # offset into the unit ball one row at a time, as the compass search did,
+    # moves it by at most the star-norm bisection's slack and leaves every
+    # score on the search cloud as it was
+    from carnotperim import parse_gauge, parse_surface
+    from carnotperim.federer import SCAN
+    from carnotperim.surfaces import ratio_on_cloud
+
+    model = request.getfixturevalue(group)
+    if surface == "vplane":
+        surface = "vplane:nu=1,1" + ",0" * (model.m1 - 2)
+    surf, gauge, t = parse_surface(model, surface), parse_gauge(model, spec), 0.2
+
+    def clamp(w):
+        nw = gauge.norm(w)
+        return model.dilate(1.0 / nw, w) if nw > 1.0 else w
+
+    calls = scan_scores(monkeypatch)
+    federer_density(surf, gauge, sched=DensitySchedule((t,), 5000, 3))
+    assert len(calls) == len(SCAN) + 1
+    for cloud, y, score in calls[:-1]:
+        w = model.dilate(1.0 / t, model.multiply(model.inverse(surf.x), y))
+        assert gauge.norm(w) <= 1.0 + 1e-9
+        clamped = model.multiply(surf.x, model.dilate(t, clamp(w)))
+        assert np.allclose(clamped, y, rtol=0.0, atol=1e-12)
+        assert ratio_on_cloud(cloud, gauge, clamped, surf) == score
 
 
 def test_records_count_the_box_expansions_of_both_clouds(h1, koranyi, monkeypatch):
