@@ -92,14 +92,17 @@ class GroupModel:
         """Homogeneous dimension sum_i i * dim V_i."""
         return self.m1 + 2 * self.m2
 
-    @property
-    def bracket_bound(self) -> float:
-        """Operator bound |[a,b]| <= bound * |a| |b| on unit first-layer vectors."""
+    def ad_norm(self, v) -> float:
+        """Operator 2-norm of a -> [a, v] on the first layer, so that
+        |[a, v]| <= ad_norm(v) |a| for every first-layer vector a.
+
+        The map's matrix is (m2, m1); its norm is the largest singular value
+        (1 for a unit v on every Heisenberg group H^n).
+        """
         if self.step == 1:
             return 0.0
-        mat = self.bracket.reshape(self.m1 * self.m1, self.m2)
-        # crude but safe: Frobenius norm dominates the bilinear operator norm
-        return float(np.linalg.norm(mat))
+        ad = np.einsum("ijk,j->ki", self.bracket, np.asarray(v, dtype=float))
+        return float(np.linalg.norm(ad, 2))
 
     def identity(self) -> Point:
         return np.zeros(self.n)

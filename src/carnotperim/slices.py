@@ -123,6 +123,11 @@ def slice_area_at_center(
     Independent route for the translation-reduction identity: the value must
     match psi(-<z_1, nu>) since left translation along the plane has unit
     Jacobian.
+
+    A point q of the plane lies in B(z, 1) when r = z^-1 q is in B(0, 1).
+    Then q_1 = z_1 + r_1, and since [z_1, z_1] = 0 the vertical block is
+    q_2 = z_2 + r_2 + [z_1, r_1] / 2, bounded by ad_norm(z_1) r0 / 2 on top
+    of the ball's own block radii.
     """
     model = gauge.model
     nu = direction(model, nu)
@@ -130,11 +135,10 @@ def slice_area_at_center(
     perp = vertical_complement(model, nu)
     radii = gauge.block_radii()
     hw = np.empty(model.n - 1)
-    z1 = np.linalg.norm(model.v1(z))
-    hw[: model.m1 - 1] = radii[0] + z1
+    hw[: model.m1 - 1] = radii[0] + np.linalg.norm(model.v1(z))
     if model.m2:
         z2 = np.linalg.norm(model.v2(z))
-        hw[model.m1 - 1 :] = radii[1] + z2 + 0.5 * model.bracket_bound * z1 * (radii[0] + z1)
+        hw[model.m1 - 1 :] = radii[1] + z2 + 0.5 * model.ad_norm(model.v1(z)) * radii[0]
 
     def inside(coords):
         return gauge.in_ball(_slice_points(gauge, nu, perp, 0.0, coords), radius=1.0, center=z)
@@ -153,8 +157,8 @@ def support_radius(gauge: Gauge, nu, seed: int = 7, rel_tol: float = 1e-9) -> fl
     search over all its coordinates, since a random cloud is thin once
     nu-perp has more than one dimension and misses narrow vertical optima
     (twoball's larger ball reaches farthest only at its centre height); the
-    bound moves only when the refined probe, dilated to the slice at
-    (1 + 1e-6) times the upper end of the first bisection, lies in the ball,
+    bound moves only when the refined probe, dilated to the slice one norm
+    tolerance past the upper end of the first bisection, lies in the ball,
     and then bisection continues along the refined probe's dilation ray.
     """
     model = gauge.model
@@ -190,7 +194,7 @@ def support_radius(gauge: Gauge, nu, seed: int = 7, rel_tol: float = 1e-9) -> fl
         def on_ray(t):
             return bool(gauge.in_ball(_slice_points(gauge, nu, perp, t, ray * t**weights))[0])
 
-        beyond = hi * (1.0 + 1e-6)
+        beyond = hi + gauge.norm_tolerance(hi)
         if on_ray(beyond):
             lo, hi = _bisect(on_ray, beyond, top, rel_tol)
     return 0.5 * (lo + hi)

@@ -34,7 +34,11 @@ from .mc import Estimate, box_batches, substream
 
 FD_STEP = 1e-5
 GRAD_MIN = 1e-6
-BOX_FACTOR = 2.3
+# The first box is BOX_SLACK times the provable reach bounds.  A sample
+# within reach grows the box when it passes BOX_SHELL of a halfwidth, so
+# any slack with BOX_SLACK * BOX_SHELL > 1 (here 1.004) keeps a correct
+# bound from ever growing it; a larger slack only wastes samples.
+BOX_SLACK = 1.08
 BOX_GROWTH = 1.4
 BOX_SHELL = 0.93
 MAX_BOX_ATTEMPTS = 4
@@ -245,10 +249,14 @@ def _reach_bounds(spec: SurfaceSpec, gauge: Gauge, reach: float):
     """Per-coordinate bounds on parameters of points within distance reach of
     the base point.
 
-    Such points satisfy d(Phi(eta), x) <= reach, i.e. eta * (phi e1) lies in
-    B(0, reach).  The first layer of that product splits orthogonally into
-    eta's kernel block and phi*e1, so both are bounded by the horizontal
-    block radius at reach; the vertical block picks up one bracket cross term.
+    Such points satisfy d(Phi(eta), x) <= reach, i.e. p = eta * (phi e1)
+    lies in B(0, reach), so |p_1| <= h = reach r0 and |p_2| <= reach^2 r1
+    with (r0, r1) the gauge's block radii.  The first layer p_1 = eta_1 +
+    phi e1 splits orthogonally, since eta_1 is perpendicular to e1, so
+    |eta_1|^2 + phi^2 <= h^2: each kernel coordinate is at most h, and
+    |eta_1| |phi| <= h^2 / 2.  The second layer is p_2 = eta_2 +
+    phi [eta_1, e1] / 2, and |[eta_1, e1]| <= ad_norm(e1) |eta_1|, so each
+    vertical coordinate is at most reach^2 r1 + ad_norm(e1) h^2 / 4.
     """
     model = spec.model
     radii = gauge.block_radii()
@@ -256,7 +264,7 @@ def _reach_bounds(spec: SurfaceSpec, gauge: Gauge, reach: float):
     out = np.empty(model.n - 1)
     out[: model.m1 - 1] = h
     if model.m2:
-        out[model.m1 - 1 :] = reach**2 * radii[1] + 0.5 * model.bracket_bound * h * h
+        out[model.m1 - 1 :] = reach**2 * radii[1] + 0.25 * model.ad_norm(spec.nu0) * h * h
     return out
 
 
@@ -289,7 +297,7 @@ def sample_patch(
     if reach < t:
         raise ValueError("reach must be at least the radius")
     bounds = _reach_bounds(spec, gauge, reach)
-    slack = np.full(model.n - 1, 0.5 * BOX_FACTOR)  # a 15% margin over the provable bounds
+    slack = np.full(model.n - 1, BOX_SLACK)
     expansions = 0
     for attempt in range(MAX_BOX_ATTEMPTS):
         hw = slack * bounds

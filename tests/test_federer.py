@@ -320,16 +320,25 @@ def test_rescore_streams_are_disjoint_from_the_search_streams(h1, koranyi, monke
     assert not any(len(k) == 4 and k[2] < MAX_BOX_ATTEMPTS for k in streams["rescore"])
 
 
-@pytest.mark.parametrize("surface, spec, exact", [
-    ("tplane", "koranyi", KORANYI_PSI0),
-    ("vplane:nu=1,0", "starball:rho=0.5", np.pi / 4.0),
-])
-def test_blowup_theta_covers_the_exact_density(h1, surface, spec, exact):
+COVERAGE_CASES = [
+    ("h1", "tplane", "koranyi", KORANYI_PSI0),
+    ("h1", "vplane:nu=1,0", "starball:rho=0.5", np.pi / 4.0),
+    ("h2", "vplane:nu=1,1,0,0", "starball:rho=0.5", np.pi**2 / 32.0),  # a 4-ball of radius 1/2
+]
+
+
+@pytest.mark.parametrize(
+    "group, surface, spec, exact", COVERAGE_CASES,
+    # the H^1 cases keep the ids they had before the group was a parameter
+    ids=["-".join(map(str, c[1:] if c[0] == "h1" else c)) for c in COVERAGE_CASES],
+)
+def test_blowup_theta_covers_the_exact_density(request, group, surface, spec, exact):
     # seeded coverage: the debiased estimate sits within 3 se of the exact
     # density on every seed, and its z-scores average out near zero
     from carnotperim import parse_gauge, parse_surface
 
-    surf, gauge = parse_surface(h1, surface), parse_gauge(h1, spec)
+    model = request.getfixturevalue(group)
+    surf, gauge = parse_surface(model, surface), parse_gauge(model, spec)
     zs = []
     for seed in range(12):
         sched = default_schedule(t0=0.1, halvings=2, samples_per_ball=5000, seed=seed)

@@ -66,6 +66,18 @@ def einsum_bracket(model, a, b):
     return np.einsum("...i,...j,ijk->...k", a, b, model.bracket)
 
 
+def dense_model(tmp_path, rng, m1=4, m2=3):
+    """A model with a dense random antisymmetric table, loaded from a file."""
+    lines = ["layers: %d %d" % (m1, m2)]
+    for i in range(m1):
+        for j in range(i + 1, m1):
+            for k in range(m2):
+                lines.append("bracket: %d %d %d %r" % (i + 1, j + 1, k + 1, rng.normal()))
+    path = tmp_path / "dense.txt"
+    path.write_text("\n".join(lines) + "\n")
+    return parse_group(str(path))
+
+
 def test_bracket_matches_einsum_contraction(tmp_path):
     rng = np.random.default_rng(21)
     for model in (heisenberg(1), heisenberg(2)):
@@ -75,18 +87,28 @@ def test_bracket_matches_einsum_contraction(tmp_path):
         for x, y in ((a, b), (a[0], b), (a, b[0]), (a.reshape(25, 20, -1), b[:20])):
             assert np.array_equal(model.bracket_v1(x, y), einsum_bracket(model, x, y))
     # a dense antisymmetric table loaded from a file
-    m1, m2 = 4, 3
-    lines = ["layers: %d %d" % (m1, m2)]
-    for i in range(m1):
-        for j in range(i + 1, m1):
-            for k in range(m2):
-                lines.append("bracket: %d %d %d %r" % (i + 1, j + 1, k + 1, rng.normal()))
-    path = tmp_path / "dense.txt"
-    path.write_text("\n".join(lines) + "\n")
-    dense = parse_group(str(path))
-    a = rng.normal(size=(300, m1))
-    b = rng.normal(size=(300, m1))
+    dense = dense_model(tmp_path, rng)
+    a = rng.normal(size=(300, dense.m1))
+    b = rng.normal(size=(300, dense.m1))
     assert_allclose(dense.bracket_v1(a, b), einsum_bracket(dense, a, b), rtol=1e-14, atol=1e-14)
+
+
+def test_ad_norm_is_the_operator_norm_of_the_bracket(tmp_path):
+    # |[a, v]| <= ad_norm(v) |a|, with equality on the top singular vector:
+    # the matrix of a -> [a, v] is built column by column from the bracket
+    rng = np.random.default_rng(23)
+    for model in (heisenberg(1), heisenberg(2), heisenberg(3), dense_model(tmp_path, rng)):
+        for v in rng.normal(size=(5, model.m1)):
+            ad = np.stack([model.bracket_v1(e, v) for e in np.eye(model.m1)], axis=1)
+            top = np.sqrt(np.linalg.eigvalsh(ad.T @ ad)[-1])
+            assert model.ad_norm(v) == pytest.approx(top, rel=1e-12)
+            a = rng.normal(size=(200, model.m1))
+            gain = np.linalg.norm(model.bracket_v1(a, v), axis=-1) / np.linalg.norm(a, axis=-1)
+            assert gain.max() <= model.ad_norm(v) * (1.0 + 1e-12)
+            if model.name.startswith("heisenberg"):
+                # J v for the symplectic J: the norm of v itself
+                assert model.ad_norm(v) == pytest.approx(np.linalg.norm(v), rel=1e-12)
+    assert abelian(3).ad_norm(np.ones(3)) == 0.0
 
 
 def test_multiply_leaves_inputs_unwritten(h1):

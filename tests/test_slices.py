@@ -164,21 +164,25 @@ def test_twoball_support_radius_is_exact(n):
 
 def test_support_radius_off_axis(h1):
     # the stretched gauge's widest slice along (1,1)/sqrt2 lies off the nu-axis:
-    # sup <x1, nu> over |W x1| <= 1 is |W^-1 nu| = 1/sqrt(1.6) with W = diag(1, 2)
+    # sup <x1, nu> over |W x1| <= 1 is |W^-1 nu| = 1/sqrt(1.6) with W = diag(1, 2);
+    # the first bisection lands within 8e-7 of it, so the refined probe must
+    # be tried one norm tolerance past it, not a relative 1e-6
     aniso = AnisotropicGauge(h1, scale=2.0)
-    nu = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    T = support_radius(aniso, nu)
-    assert abs(T - 1.0 / np.sqrt(1.6)) <= 1e-3
+    for nu in ([1.0, 1.0], [1.0, 2.0], [0.3, -1.0]):
+        nu = np.array(nu) / np.linalg.norm(nu)
+        T, exact = support_radius(aniso, nu), np.linalg.norm(nu / [1.0, 2.0])
+        assert abs(T - exact) <= 1e-9 * exact
     assert slice_area(aniso, nu, 1.01 * T, 20_000, seed=7).value == 0.0
 
 
 def test_support_radius_off_axis_h2():
     # nu-perp is 3-dimensional here, too thin for a random probe cloud alone:
-    # the compass refinement must reach |W^-1 nu| = sqrt(0.625) with W = diag(1, 2, 1, 2)
+    # the compass refinement must reach |W^-1 nu| with W = diag(1, 2, 1, 2)
     aniso = AnisotropicGauge(heisenberg(2), scale=2.0)
-    nu = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0)
-    T = support_radius(aniso, nu)
-    assert abs(T - np.sqrt(0.625)) <= 1e-3
+    for nu in ([1.0, 1.0, 0.0, 0.0], [1.0, 2.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]):
+        nu = np.array(nu) / np.linalg.norm(nu)
+        T, exact = support_radius(aniso, nu), np.linalg.norm(nu / [1.0, 2.0, 1.0, 2.0])
+        assert abs(T - exact) <= 1e-9 * exact
     assert slice_area(aniso, nu, 1.01 * T, 20_000, seed=7).value == 0.0
 
 

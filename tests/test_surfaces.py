@@ -357,6 +357,55 @@ def test_patch_cloud_reuse_and_failures(h1, koranyi):
         sample_patch(surf, koranyi, 0.2, 0, seed=7)
 
 
+CATALOG_PATCHES = [
+    (group, gauge_spec, surface)
+    for group, nus in (("h1", ("1,0", "1,1", "0.3,-1")), ("h2", ("1,0,0,0", "1,1,0,0", "0.3,-1,0,0")))
+    for gauge_spec in ("koranyi", "dinf:eps2=0.5", "aniso:scale=2", "starball:rho=0.5", "twoball")
+    for surface in ("tplane",) + tuple("vplane:nu=" + nu for nu in nus)
+] + [("r2", "euclidean", "vplane:nu=1,1")]
+
+
+@pytest.mark.parametrize("group, gauge_spec, surface", CATALOG_PATCHES)
+def test_reach_bounds_hold_for_every_point_within_reach(request, group, gauge_spec, surface):
+    # every p in B(0, R) is eta * (phi e1) with phi = <p_1, e1> and eta in the
+    # parameter plane; its parameters lie inside _reach_bounds with no slack
+    from carnotperim.gauges import sample_in_ball
+    from carnotperim.mc import substream
+    from carnotperim.surfaces import _reach_bounds
+
+    model = request.getfixturevalue(group)
+    gauge, spec, R = parse_gauge(model, gauge_spec), parse_surface(model, surface), 0.3
+    p = sample_in_ball(gauge, 20_000, substream(5, model.n), radius=R)
+    phi = model.v1(p) @ spec.nu0
+    eta = model.multiply(p, -phi[:, None] * embed_v1(model, spec.nu0))
+    coords = np.concatenate([model.v1(eta) @ spec.frame_perp.T, model.v2(eta)], axis=1)
+    assert np.all(np.abs(coords) <= _reach_bounds(spec, gauge, R))
+
+
+@pytest.mark.parametrize("group, gauge_spec, surface", CATALOG_PATCHES)
+def test_no_catalog_cloud_expands(request, group, gauge_spec, surface):
+    # with correct bounds no sample within reach can reach the growth shell
+    model = request.getfixturevalue(group)
+    gauge, spec = parse_gauge(model, gauge_spec), parse_surface(model, surface)
+    for t, reach in ((0.1, None), (0.1, 0.1), (0.05, 0.075)):
+        assert sample_patch(spec, gauge, t, 5000, seed=7, reach=reach).expansions == 0
+
+
+@pytest.mark.parametrize("group", ["h1", "h2"])
+def test_koranyi_vertical_reach_bound_is_half_the_squared_reach(request, group):
+    # r0 = 1, r1 = 1/4 and ad_norm(e1) = 1: R^2 / 4 + R^2 / 4
+    from carnotperim.surfaces import _reach_bounds
+
+    model = request.getfixturevalue(group)
+    koranyi = parse_gauge(model, "koranyi")
+    for surface in ("tplane", "vplane:nu=1" + ",0" * (model.m1 - 1), "vplane:nu=1,1" + ",0" * (model.m1 - 2)):
+        spec = parse_surface(model, surface)
+        for R in (0.5, 0.3):
+            bounds = _reach_bounds(spec, koranyi, R)
+            assert np.allclose(bounds[: model.m1 - 1], R, rtol=1e-15, atol=0.0)
+            assert np.allclose(bounds[model.m1 - 1 :], 0.5 * R * R, rtol=1e-15, atol=0.0)
+
+
 def full_scan_ratio(cloud, gauge, y, spec):
     """ratio_on_cloud's statistic with every ok sample of the cloud tested."""
     t = cloud.t
