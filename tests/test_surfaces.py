@@ -359,7 +359,8 @@ def test_patch_cloud_reuse_and_failures(h1, koranyi):
 
 CATALOG_PATCHES = [
     (group, gauge_spec, surface)
-    for group, nus in (("h1", ("1,0", "1,1", "0.3,-1")), ("h2", ("1,0,0,0", "1,1,0,0", "0.3,-1,0,0")))
+    for group, nus in (("h1", ("1,0", "1,1", "0.3,-1")),
+                       ("h2", ("1,0,0,0", "1,1,0,0", "0.3,-1,0,0")))
     for gauge_spec in ("koranyi", "dinf:eps2=0.5", "aniso:scale=2", "starball:rho=0.5", "twoball")
     for surface in ("tplane",) + tuple("vplane:nu=" + nu for nu in nus)
 ] + [("r2", "euclidean", "vplane:nu=1,1")]
@@ -398,7 +399,8 @@ def test_koranyi_vertical_reach_bound_is_half_the_squared_reach(request, group):
 
     model = request.getfixturevalue(group)
     koranyi = parse_gauge(model, "koranyi")
-    for surface in ("tplane", "vplane:nu=1" + ",0" * (model.m1 - 1), "vplane:nu=1,1" + ",0" * (model.m1 - 2)):
+    for surface in ("tplane", "vplane:nu=1" + ",0" * (model.m1 - 1),
+                    "vplane:nu=1,1" + ",0" * (model.m1 - 2)):
         spec = parse_surface(model, surface)
         for R in (0.5, 0.3):
             bounds = _reach_bounds(spec, koranyi, R)
