@@ -26,6 +26,7 @@ from carnotperim.surfaces import (
     BISECT_ITERS,
     BRACKET_DOUBLINGS,
     _graph_heights,
+    _reach_bounds,
     quadratic_graph,
     ratio_on_cloud,
     sample_patch,
@@ -372,7 +373,6 @@ def test_reach_bounds_hold_for_every_point_within_reach(request, group, gauge_sp
     # parameter plane; its parameters lie inside _reach_bounds with no slack
     from carnotperim.gauges import sample_in_ball
     from carnotperim.mc import substream
-    from carnotperim.surfaces import _reach_bounds
 
     model = request.getfixturevalue(group)
     gauge, spec, R = parse_gauge(model, gauge_spec), parse_surface(model, surface), 0.3
@@ -395,8 +395,6 @@ def test_no_catalog_cloud_expands(request, group, gauge_spec, surface):
 @pytest.mark.parametrize("group", ["h1", "h2"])
 def test_koranyi_vertical_reach_bound_is_half_the_squared_reach(request, group):
     # r0 = 1, r1 = 1/4 and ad_norm(e1) = 1: R^2 / 4 + R^2 / 4
-    from carnotperim.surfaces import _reach_bounds
-
     model = request.getfixturevalue(group)
     koranyi = parse_gauge(model, "koranyi")
     for surface in ("tplane", "vplane:nu=1" + ",0" * (model.m1 - 1),
