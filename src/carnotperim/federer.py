@@ -12,7 +12,11 @@ offset <w1, nu> of y = x * delta_t(w), by the translation argument that
 reduces beta to a max over t, so the sup over the normal line has the same
 limit as the sup over all of B(x, t).  At a finite radius it is a lower
 bound of that sup, equal to it when the ball's support in the directions
-+-nu lies on the nu axis: every catalog gauge but twoball.
++-nu lies on the nu axis: for koranyi, dinf and starball in every
+direction, for aniso only along the coordinate axes, and never for twoball.
+Off the axes aniso's line falls short: at aniso:scale=2 and
+nu = (1,1)/sqrt 2 on H^1 it reaches the offset 1/||(nu,0)|| = 0.632, while
+the slice support is |W^-1 nu| = 0.791.
 
 At each radius a 21-point scan of the line is scored on one frozen sample
 cloud (common random numbers), and the chosen centre is rescored on a fresh

@@ -60,6 +60,54 @@ def _halve_bracket(lo, hi, mid, go_hi):
     hi ^= mid  # hi ^ ((hi ^ mid) & m)
 
 
+def _certified_roots(g, lo, hi, glo, ghi, d, rounds, pending):
+    """Certified Illinois regula falsi, row by row; returns the root estimates s.
+
+    Row i solves g_i = 0 for a function that rises across its bracket
+    [lo_i, hi_i], where its values are glo_i <= 0 <= ghi_i; g(s, out)
+    writes every g_i(s_i) into out.  A round takes the regula falsi point
+    s = lo + (hi - lo) glo / (glo - ghi) of every row and probes g at
+    s - d and s + d.  A pending row whose probes change sign (<= 0, then
+    >= 0) is certified: its root lies within d of s, and it leaves pending.
+    Otherwise the probe on the root's side becomes that end of the bracket,
+    and an end kept twice in a row has its value halved, so that it cannot
+    stall the iteration (Illinois; Dowell & Jarratt, BIT 1971).
+
+    Rows that are not pending keep their bracket, so every round recomputes
+    the same s for them, and no row is ever gathered.  After `rounds` rounds
+    pending marks the rows left uncertified.  lo, hi, glo and ghi are
+    overwritten.
+    """
+    k = len(lo)
+    s, probe, gm, gp = (np.empty(k) for _ in range(4))
+    last = np.zeros(k, dtype=np.int8)  # +1 where lo moved in the last round, -1 where hi did
+    for _ in range(rounds):
+        np.subtract(glo, ghi, out=s)
+        with np.errstate(invalid="ignore"):  # both ends roots: NaN, never certified
+            np.divide(glo, s, out=s)
+        np.subtract(hi, lo, out=probe)
+        s *= probe
+        s += lo
+        np.subtract(s, d, out=probe)
+        g(probe, gm)
+        np.add(s, d, out=probe)
+        g(probe, gp)
+        pending &= ~((gm <= 0.0) & (gp >= 0.0))
+        if not pending.any():
+            break
+        down = pending & (gm > 0.0)  # the root lies below s - d
+        up = pending & (gp < 0.0) & ~down  # above s + d
+        np.copyto(lo, probe, where=up)
+        np.copyto(glo, gp, where=up)
+        np.subtract(s, d, out=probe)
+        np.copyto(hi, probe, where=down)
+        np.copyto(ghi, gm, where=down)
+        np.multiply(ghi, 0.5, out=ghi, where=up & (last > 0))
+        np.multiply(glo, 0.5, out=glo, where=down & (last < 0))
+        last = up.view(np.int8) - down.view(np.int8)
+    return s
+
+
 class Gauge:
     """Base class; concrete gauges implement norm_many and block_radii."""
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import BracketError, ConformanceError, RegionError, RegularityError
-from .gauges import Gauge, _halve_bracket, _sum_sq
+from .gauges import Gauge, _certified_roots, _halve_bracket, _sum_sq
 from .groups import GroupModel, embed_v1, vertical_complement
 from .mc import Estimate, box_batches, substream
 
@@ -45,6 +45,9 @@ MAX_BOX_ATTEMPTS = 4
 BRACKET_FACTOR = 6.0
 BRACKET_DOUBLINGS = 5
 BISECT_ITERS = 62
+CERT_ITERS = 10
+CERT_WIDTH = 2.0**-40  # certificate half-width, relative to the bracket's
+HEIGHT_BLOCK = 1 << 13  # rows per graph-height solve: its arrays stay in cache and off the peak
 FAIL_FRACTION = 1e-3
 SCORE_SLACK = 1e-9
 SCORE_BLOCK = 1 << 15  # window rows translated and tested at a time
@@ -186,11 +189,14 @@ def horizontal_normal(spec: SurfaceSpec, p) -> np.ndarray:
 
 
 def graph_height(spec: SurfaceSpec, n_point, bracket: float) -> float:
-    """Height phi with f(x * n * (phi * e1)) = 0, by bisection on [-b, b].
+    """Height phi with f(x * n * (phi * e1)) = 0 on the bracket [-b, b].
 
     The map s -> f(x * n * (s e1)) is strictly monotone wherever the aligned
     derivative is positive, so the root is unique; a missing sign change on
-    the bracket raises BracketError.
+    the bracket raises BracketError.  The root is found by the certified
+    regula falsi of _graph_heights, which puts it within 2^-40 b of phi
+    (the bisection is only its fallback), and a residual |f| above 1e-10 at
+    phi raises BracketError.
     """
     model = spec.model
     n_point = model.conform(np.asarray(n_point, dtype=float))
@@ -201,7 +207,7 @@ def graph_height(spec: SurfaceSpec, n_point, bracket: float) -> float:
     root = model.multiply(base, phi[:, None] * embed_v1(model, spec.nu0))
     residual = abs(float(spec.f_many(root)[0]))
     if residual > 1e-10:
-        raise BracketError("bisection stalled: residual %.3g" % residual)
+        raise BracketError("graph-height solve stalled: residual %.3g" % residual)
     return float(phi[0])
 
 
@@ -213,8 +219,10 @@ class PatchCloud:
     """A reusable Monte-Carlo cloud over the graph patch at scale t.
 
     points are Phi(eta) for uniform eta in the box; alpha is the perimeter
-    density; bracketed marks samples whose height bisection found a sign
-    change, and ok those of them with a usable density.
+    density; bracketed marks samples whose height bracket shows a sign
+    change of f (their heights are certified roots, or bisected where the
+    certificate failed; see _graph_heights), and ok those of them with a
+    usable density.
     Membership in any ball B(y, t) inside the reach the cloud was drawn for
     (see sample_patch) can be tested against this one cloud (common random
     numbers).
@@ -323,7 +331,7 @@ def sample_patch(
     rel_failures = int((~cloud.bracketed & relevant).sum())
     if rel_failures > FAIL_FRACTION * max(int(relevant.sum()), 1):
         raise RegionError(
-            "graph-height bisection failed on %d reachable samples of %d: "
+            "graph-height bracket failed on %d reachable samples of %d: "
             "surface leaves the patch" % (rel_failures, int(relevant.sum()))
         )
     # bracketed surface points with a degenerate aligned derivative inside the
@@ -362,7 +370,7 @@ def _draw_cloud(spec, gauge, t, n_samples, hw, seed, key) -> PatchCloud:
         start = rows.stop
         base = model.multiply(spec.x, spec.embed_parameters(batch))
         phi, found = _graph_heights(spec, base, BRACKET_FACTOR * t)
-        pts[rows] = model.multiply(base, np.where(found, phi, 0.0)[:, None] * e1)
+        pts[rows] = model.multiply(base, phi[:, None] * e1)
         grads = spec.grad_many(pts[rows])
         gn = np.linalg.norm(grads, axis=-1)
         x1f = grads @ spec.nu0
@@ -373,34 +381,62 @@ def _draw_cloud(spec, gauge, t, n_samples, hw, seed, key) -> PatchCloud:
 
 
 def _graph_heights(spec, base, half_width, doublings=BRACKET_DOUBLINGS):
-    """Vectorized bisection for the graph heights over an array of N-points.
+    """Vectorized graph heights over an array of N-points.
 
-    Starts from the bracket [-half_width, half_width] and doubles it up to
+    Starts from the bracket [-S, S], S = half_width, and doubles S up to
     `doublings` times where f shows no sign change; returns the heights and
-    the mask of samples that were bracketed.  The group line s -> base * (s e1)
-    is affine in exponential coordinates, base + s (e1 + [base_1, e1] / 2), so
-    one bracket per sample serves every evaluation of f.  The line is kept
-    as (n, k) columns, contiguous when base is column-major, and f sees a
-    column-major (k, n) view of one reused buffer.
+    the mask of samples that were bracketed (the others get height 0).  On
+    its bracket each height is found by a certified Illinois regula falsi
+    (gauges._certified_roots): the height s it returns has f changing sign
+    on [s - d, s + d], d = CERT_WIDTH * S, so the root lies within d of s.
+    Rows still uncertified after CERT_ITERS rounds fall back to
+    BISECT_ITERS bisection steps on their bracket.
+
+    The group line s -> base * (s e1) is affine in exponential coordinates,
+    base + s (e1 + [base_1, e1] / 2), so one line per sample serves every
+    evaluation of f.  Rows are solved in nearly equal blocks of at most
+    HEIGHT_BLOCK, so the solver's arrays stay small next to the caller's.
     """
     model = spec.model
     k = base.shape[0]
     cols = base.T
-    pts = np.empty((model.n, k))
     slope2 = 0.5 * model.bracket_v1(model.v1(base), spec.nu0).T  # the first layer's is nu0
+    phi = np.empty(k)
+    bracketed = np.empty(k, dtype=bool)
+    blocks = -(-k // HEIGHT_BLOCK)
+    # equal blocks, never one of a single row: BLAS rounds a one-row f apart
+    edges = [k * i // blocks for i in range(blocks + 1)]
+    for start, stop in zip(edges, edges[1:]):
+        rows = slice(start, stop)
+        phi[rows], bracketed[rows] = _block_heights(
+            spec, cols[:, rows], slope2[:, rows], half_width, doublings
+        )
+    return phi, bracketed
+
+
+def _line(spec, cols, slope2):
+    """g(s) = f(base * (s e1)) for the bases whose coordinates are the columns
+    of cols.  The line is kept as (n, k) columns, and f sees a column-major
+    (k, n) view of one reused buffer."""
+    m1 = spec.model.m1
+    pts = np.empty(cols.shape)
 
     def g(s):
-        np.multiply.outer(spec.nu0, s, out=pts[: model.m1])
-        np.multiply(slope2, s, out=pts[model.m1 :])
+        np.multiply.outer(spec.nu0, s, out=pts[:m1])
+        np.multiply(slope2, s, out=pts[m1:])
         np.add(pts, cols, out=pts)
         return spec.f_many(pts.T)
 
-    def kept(values):  # f may return a view into pts, which the next g overwrites
-        return values.copy() if np.may_share_memory(values, pts) else values
+    return g
 
-    S = np.full(k, half_width)
-    glo = kept(g(-S))
-    ghi = kept(g(S))
+
+def _block_heights(spec, cols, slope2, half_width, doublings):
+    """_graph_heights on one block, whose lines are given by cols and slope2."""
+    g = _line(spec, cols, slope2)
+    S = np.full(cols.shape[1], half_width)
+    # copies: f may return a view into g's buffer, which the next g overwrites
+    glo = np.array(g(-S))
+    ghi = np.array(g(S))
     no_flip = glo * ghi > 0.0
     for _ in range(doublings):
         if not no_flip.any():
@@ -409,16 +445,32 @@ def _graph_heights(spec, base, half_width, doublings=BRACKET_DOUBLINGS):
         glo = np.where(no_flip, g(-S), glo)  # f's output may be read-only
         ghi = np.where(no_flip, g(S), ghi)
         no_flip = glo * ghi > 0.0
-    bracketed = ~no_flip
     pos_hi = (ghi > 0.0) | (glo < 0.0)  # g rises across the bracket, also when an end is a root
-    del glo, ghi, no_flip  # only pos_hi is needed from here on
-    lo, hi, mid = -S, S, np.empty(k)  # updated in place
+    sign = np.where(pos_hi, 1.0, -1.0)
+
+    def rising(s, out):
+        np.multiply(g(s), sign, out=out)
+
+    # oriented end values; an unbracketed row's -1 and 1 keep it at height 0
+    glo = np.where(no_flip, -1.0, glo * sign)
+    ghi = np.where(no_flip, 1.0, ghi * sign)
+    pending = ~no_flip
+    phi = _certified_roots(rising, -S, S.copy(), glo, ghi, CERT_WIDTH * S, CERT_ITERS, pending)
+    rows = np.flatnonzero(pending)
+    if len(rows):  # gathered: the fallback costs only the rows that need it
+        phi[rows] = _bisect(_line(spec, cols[:, rows], slope2[:, rows]), S[rows], pos_hi[rows])
+    return phi, ~no_flip
+
+
+def _bisect(g, S, pos_hi):
+    """BISECT_ITERS bisection steps for g's sign change on [-S, S]; g rises
+    where pos_hi, falls elsewhere."""
+    lo, hi, mid = -S, S, np.empty(len(S))  # updated in place
     for _ in range(BISECT_ITERS):
         np.add(lo, hi, out=mid)
         mid *= 0.5
         _halve_bracket(lo, hi, mid, (g(mid) > 0.0) == pos_hi)
-    phi = 0.5 * (lo + hi)
-    return phi, bracketed
+    return 0.5 * (lo + hi)
 
 
 # --- perimeter of balls ----------------------------------------------------------

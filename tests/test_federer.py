@@ -137,7 +137,7 @@ def test_centered_density_function(h1, koranyi):
 def test_centered_density_equals_federer_centered_extrapolation(h1, koranyi):
     # both run one density driver with one failure policy (refused radii are
     # skipped), so the centered estimates agree exactly, also when a radius
-    # is refused: on tplane the graph-height bisection fails at t = 0.8
+    # is refused: on tplane the graph-height bracket fails at t = 0.8
     sched = small_sched(samples=20_000)
     for surf in (coordinate_plane(h1), vertical_plane(h1, [1.0, 0.0])):
         rep = federer_density(surf, koranyi, sched=sched)

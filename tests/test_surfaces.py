@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +26,8 @@ from carnotperim.mc import joint_stderr
 from carnotperim.surfaces import (
     BISECT_ITERS,
     BRACKET_DOUBLINGS,
+    CERT_ITERS,
+    HEIGHT_BLOCK,
     _graph_heights,
     _reach_bounds,
     quadratic_graph,
@@ -143,6 +146,70 @@ def test_graph_height_root_at_bracket_end(h1):
     assert graph_height(surf, np.array([0.0, 0.0, 0.25]), 0.5) == pytest.approx(-0.5, abs=1e-12)
 
 
+def test_graph_height_on_a_line_inside_the_surface(h1):
+    # x * n = 0, so f vanishes on the whole line and both bracket ends are
+    # roots: the regula falsi point is 0/0, never certified, and the row
+    # falls back to the bisection, which keeps the lower half every step
+    surf = coordinate_plane(h1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert graph_height(surf, np.array([-1.0, 0.0, 0.0]), 0.5) == -0.5
+
+
+def doubled_brackets(g, k, half_width, doublings):
+    """The bracket half-widths S after the doublings and g's values at -S and S."""
+    S = np.full(k, half_width)
+    glo, ghi = g(-S), g(S)
+    no_flip = glo * ghi > 0.0
+    for _ in range(doublings):
+        if not no_flip.any():
+            break
+        S[no_flip] *= 2.0
+        glo = np.where(no_flip, g(-S), glo)
+        ghi = np.where(no_flip, g(S), ghi)
+        no_flip = glo * ghi > 0.0
+    return S, glo, ghi
+
+
+def bisection_heights(g, S, glo, ghi):
+    """BISECT_ITERS masked-copy bisection steps for g's sign change on [-S, S]."""
+    pos_hi = (ghi > 0.0) | (glo < 0.0)
+    lo, hi, mid = -S, S.copy(), np.empty(len(S))
+    for _ in range(BISECT_ITERS):
+        np.add(lo, hi, out=mid)
+        mid *= 0.5
+        go_hi = (g(mid) > 0.0) == pos_hi
+        np.copyto(hi, mid, where=go_hi)
+        np.copyto(lo, mid, where=~go_hi)
+    return 0.5 * (lo + hi)
+
+
+def certified_heights(g, S, glo, ghi):
+    """Certified Illinois regula falsi with masked-copy selects, then the
+    bisection where it did not certify; returns the heights and that mask."""
+    bracketed = ~(glo * ghi > 0.0)
+    sign = np.where((ghi > 0.0) | (glo < 0.0), 1.0, -1.0)
+    lo, hi, d = -S, S.copy(), 2.0**-40 * S
+    flo = np.where(bracketed, sign * glo, -1.0)
+    fhi = np.where(bracketed, sign * ghi, 1.0)
+    pending, last = bracketed.copy(), np.zeros(len(S))
+    for _ in range(CERT_ITERS):
+        s = lo + (hi - lo) * (flo / (flo - fhi))
+        gm, gp = sign * g(s - d), sign * g(s + d)
+        pending &= ~((gm <= 0.0) & (gp >= 0.0))
+        down = pending & (gm > 0.0)
+        up = pending & (gp < 0.0) & ~down
+        np.copyto(lo, s + d, where=up)
+        np.copyto(flo, gp, where=up)
+        np.copyto(hi, s - d, where=down)
+        np.copyto(fhi, gm, where=down)
+        np.copyto(fhi, 0.5 * fhi, where=up & (last > 0))
+        np.copyto(flo, 0.5 * flo, where=down & (last < 0))
+        last = up * 1.0 - down * 1.0
+    np.copyto(s, bisection_heights(g, S, glo, ghi), where=pending)
+    return s, pending
+
+
 def multiply_line_heights(spec, base, half_width):
     """_graph_heights without doublings, f evaluated at base * (s e1) by the group law."""
     model = spec.model
@@ -151,16 +218,8 @@ def multiply_line_heights(spec, base, half_width):
     def g(s):
         return spec.f_many(model.multiply(base, s[:, None] * e1))
 
-    S = np.full(len(base), half_width)
-    glo, ghi = g(-S), g(S)
-    lo, hi = -S, S.copy()
-    pos_hi = (ghi > 0.0) | (glo < 0.0)
-    for _ in range(BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        go_hi = (g(mid) > 0.0) == pos_hi
-        hi = np.where(go_hi, mid, hi)
-        lo = np.where(go_hi, lo, mid)
-    return 0.5 * (lo + hi), ~(glo * ghi > 0.0)
+    S, glo, ghi = doubled_brackets(g, len(base), half_width, 0)
+    return certified_heights(g, S, glo, ghi)[0], ~(glo * ghi > 0.0)
 
 
 @pytest.mark.parametrize("surface", ["tplane", "vplane:nu=1,0"])
@@ -175,10 +234,9 @@ def test_graph_heights_on_affine_line_are_bitwise(h1, surface):
     assert np.array_equal(phi, ref_phi)
 
 
-def masked_copy_heights(spec, base, half_width, doublings=BRACKET_DOUBLINGS):
-    """_graph_heights as a row-major line with masked-copy bisection steps."""
+def row_major_line(spec, base):
+    """s -> f(base * (s e1)) on the affine line, kept row-major."""
     model = spec.model
-    k = base.shape[0]
     slope = np.empty_like(base)
     slope[:, : model.m1] = spec.nu0
     slope[:, model.m1 :] = 0.5 * model.bracket_v1(model.v1(base), spec.nu0)
@@ -188,25 +246,14 @@ def masked_copy_heights(spec, base, half_width, doublings=BRACKET_DOUBLINGS):
         pts += base
         return np.ascontiguousarray(spec.f_many(pts))
 
-    S = np.full(k, half_width)
-    glo, ghi = g(-S), g(S)
-    no_flip = glo * ghi > 0.0
-    for _ in range(doublings):
-        if not no_flip.any():
-            break
-        S[no_flip] *= 2.0
-        glo = np.where(no_flip, g(-S), glo)
-        ghi = np.where(no_flip, g(S), ghi)
-        no_flip = glo * ghi > 0.0
-    pos_hi = (ghi > 0.0) | (glo < 0.0)
-    lo, hi, mid = -S, S, np.empty(k)
-    for _ in range(BISECT_ITERS):
-        np.add(lo, hi, out=mid)
-        mid *= 0.5
-        go_hi = (g(mid) > 0.0) == pos_hi
-        np.copyto(hi, mid, where=go_hi)
-        np.copyto(lo, mid, where=~go_hi)
-    return 0.5 * (lo + hi), ~no_flip
+    return g
+
+
+def masked_copy_heights(spec, base, half_width, doublings=BRACKET_DOUBLINGS):
+    """_graph_heights as a row-major line with masked-copy selects."""
+    g = row_major_line(spec, base)
+    S, glo, ghi = doubled_brackets(g, len(base), half_width, doublings)
+    return certified_heights(g, S, glo, ghi)[0], ~(glo * ghi > 0.0)
 
 
 HEIGHT_SURFACES = {
@@ -216,7 +263,14 @@ HEIGHT_SURFACES = {
     "qgraph": lambda m: quadratic_graph(m, lin=(0.3, 1.0) + (0.0,) * (m.m1 - 2)),
     # f returns a read-only broadcast, and small brackets need doublings
     "expr": lambda m: from_expression(m, "x%d-0.2*x2^2" % m.n, [1.0] + [0.0] * (m.n - 1)),
+    # curved the other way, so regula falsi keeps the other end of the bracket
+    "expr+": lambda m: from_expression(m, "x%d+0.2*x2^2" % m.n, [1.0] + [0.0] * (m.n - 1)),
 }
+
+
+def height_bases(model, spec, k):
+    coords = np.random.default_rng(k).uniform(-0.5, 0.5, size=(k, model.n - 1))
+    return model.multiply(spec.x, spec.embed_parameters(coords))
 
 
 @pytest.mark.parametrize("k", [1, 4097, 65536])
@@ -225,12 +279,61 @@ HEIGHT_SURFACES = {
 def test_graph_heights_match_masked_copy_bisection(request, group, surface, k):
     model = request.getfixturevalue(group)
     spec = HEIGHT_SURFACES[surface](model)
-    coords = np.random.default_rng(k).uniform(-0.5, 0.5, size=(k, model.n - 1))
-    base = model.multiply(spec.x, spec.embed_parameters(coords))
+    base = height_bases(model, spec, k)
     phi, bracketed = _graph_heights(spec, base, 0.02)
     ref_phi, ref_bracketed = masked_copy_heights(spec, np.ascontiguousarray(base), 0.02)
     assert np.array_equal(bracketed, ref_bracketed)
     assert np.array_equal(phi, ref_phi)
+
+
+@pytest.mark.parametrize("k", [1, 4097, 65536])
+@pytest.mark.parametrize("surface", sorted(HEIGHT_SURFACES))
+@pytest.mark.parametrize("group", ["h1", "h2"])
+def test_graph_heights_are_certified(request, group, surface, k):
+    model = request.getfixturevalue(group)
+    spec = HEIGHT_SURFACES[surface](model)
+    base = height_bases(model, spec, k)
+    phi, bracketed = _graph_heights(spec, base, 0.02)
+    g = row_major_line(spec, np.ascontiguousarray(base))
+    S, glo, ghi = doubled_brackets(g, k, 0.02, BRACKET_DOUBLINGS)
+    assert np.array_equal(bracketed, ~(glo * ghi > 0.0))
+    d = 2.0**-40 * S
+    flips = np.sign(g(phi - d)) * np.sign(g(phi + d)) <= 0.0
+    assert flips[bracketed].all()
+    off = np.abs(phi - bisection_heights(g, S, glo, ghi))
+    assert np.all(off[bracketed] <= 2.0**-39 * S[bracketed])
+
+
+def test_uncertified_heights_fall_back_to_bisection(h1):
+    # f is a step across a width of about 1e-12: few rows certify in CERT_ITERS rounds
+    spec = parse_surface(h1, "tplane")
+    step = replace(spec, f=lambda pts: np.tanh(1e12 * pts[..., h1.m1]))
+    base = height_bases(h1, step, 4097)
+    phi, bracketed = _graph_heights(step, base, 0.02)
+    g = row_major_line(step, np.ascontiguousarray(base))
+    S, glo, ghi = doubled_brackets(g, len(base), 0.02, BRACKET_DOUBLINGS)
+    ref_phi, pending = certified_heights(g, S, glo, ghi)
+    assert pending.sum() > bracketed.sum() // 2
+    assert np.array_equal(phi[pending], bisection_heights(g, S, glo, ghi)[pending])
+    assert np.array_equal(phi, ref_phi)
+
+
+@pytest.mark.parametrize("k", [1, 65536])
+@pytest.mark.parametrize("surface", sorted(HEIGHT_SURFACES))
+@pytest.mark.parametrize("group", ["h1", "h2"])
+def test_graph_heights_evaluation_count(request, group, surface, k):
+    model = request.getfixturevalue(group)
+    spec = HEIGHT_SURFACES[surface](model)
+    calls = []
+
+    def f(pts):
+        calls.append(len(pts))
+        return spec.f(pts)
+
+    _graph_heights(replace(spec, f=f), height_bases(model, spec, k), 0.4, doublings=0)
+    # per block of rows: the two bracket ends, then two probes a round
+    per_block = 4 if "plane" in surface else 2 + 2 * CERT_ITERS + BISECT_ITERS
+    assert 0 < len(calls) <= per_block * -(-k // HEIGHT_BLOCK)
 
 
 def test_plane_fields_round_alike_in_both_layouts(h2):
@@ -334,7 +437,7 @@ def test_perimeter_rejects_radius_beyond_patch(h1, koranyi):
     # based at (1,0,0) the coordinate plane is the graph height -2*sig/(1+tau),
     # whose aligned derivative (1+tau)/2 vanishes at tau = -1.  At t = 0.6 the
     # reach bound 2t times the Koranyi horizontal block radius is 1.2, so the
-    # reach region crosses tau = -1; heights near there leave the bisection
+    # reach region crosses tau = -1; heights near there leave the height
     # bracket and sample_patch's bracket-failure check refuses rather than
     # undercount
     surf = coordinate_plane(h1)
