@@ -113,10 +113,14 @@ class Gauge:
 
     kind = "abstract"
 
-    def __init__(self, model: GroupModel, declared_convex: bool, declared_v1_symmetric: bool):
+    def __init__(self, model: GroupModel, declared_convex: bool, declared_v1_symmetric: bool,
+                 declared_distance: bool = True):
         self.model = model
         self.declared_convex = bool(declared_convex)
         self.declared_v1_symmetric = bool(declared_v1_symmetric)
+        # d(x, y) = |x^-1 y| is declared to satisfy the triangle inequality
+        # (validate samples it), so blow-up clouds may keep only their reach
+        self.declared_distance = bool(declared_distance)
 
     # -- required interface --------------------------------------------------
 
@@ -404,8 +408,9 @@ class StarBodyGauge(Gauge):
         declared_convex: bool,
         declared_v1_symmetric: bool,
         tol: float = _STAR_TOL,
+        declared_distance: bool = True,
     ):
-        super().__init__(model, declared_convex, declared_v1_symmetric)
+        super().__init__(model, declared_convex, declared_v1_symmetric, declared_distance)
         self.oracle = oracle
         self._block_radii = np.asarray(block_radii, dtype=float)
         self._name = name
@@ -494,6 +499,7 @@ def two_ball_gauge(
         declared_convex=False,
         declared_v1_symmetric=False,
         tol=tol,
+        declared_distance=False,
     )
 
 

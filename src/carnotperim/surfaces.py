@@ -16,14 +16,18 @@ over the parameter region of the density
 
 which equals 1 at the base point by the frame alignment.  Balls are measured
 by Monte-Carlo over an adaptive parameter box; the box expands until the set
-of samples that could contribute stops touching its shell.
+of samples that could contribute stops touching its shell.  A cloud is drawn
+block by block and keeps only the samples that a ball within its reach can
+hit, sorted along one horizontal axis, so each ball is scored on a window of
+them.
 """
 
 from __future__ import annotations
 
 import ast
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,7 +51,7 @@ BRACKET_DOUBLINGS = 5
 BISECT_ITERS = 62
 CERT_ITERS = 10
 CERT_WIDTH = 2.0**-40  # certificate half-width, relative to the bracket's
-HEIGHT_BLOCK = 1 << 13  # rows per graph-height solve: its arrays stay in cache and off the peak
+HEIGHT_BLOCK = 1 << 13  # rows per cloud block: its arrays stay in cache and off the peak
 FAIL_FRACTION = 1e-3
 SCORE_SLACK = 1e-9
 SCORE_BLOCK = 1 << 15  # window rows translated and tested at a time
@@ -218,35 +222,34 @@ def graph_height(spec: SurfaceSpec, n_point, bracket: float) -> float:
 class PatchCloud:
     """A reusable Monte-Carlo cloud over the graph patch at scale t.
 
-    points are Phi(eta) for uniform eta in the box; alpha is the perimeter
-    density; bracketed marks samples whose height bracket shows a sign
-    change of f (their heights are certified roots, or bisected where the
-    certificate failed; see _graph_heights), and ok those of them with a
-    usable density.
-    Membership in any ball B(y, t) inside the reach the cloud was drawn for
-    (see sample_patch) can be tested against this one cloud (common random
-    numbers).
+    The cloud draws n_samples parameters eta uniformly in a box of the given
+    halfwidths and volume, and maps each to the graph point Phi(eta).  alpha
+    holds every sample's perimeter density; it is 0 where the sample is not
+    ok, i.e. where its height bracket shows no sign change of f or its
+    aligned derivative degenerates (heights are certified roots, or bisected
+    where the certificate failed; see _graph_heights).
 
-    order lists the ok samples sorted by their coordinate on the horizontal
-    axis sort_axis, along which they spread widest, and sorted_points holds
-    their points in that order, column-major, so a ball can be scored on a
-    window one coordinate at a time.
+    Only the ok samples that a ball inside the cloud's reach can hit are
+    kept: those within reach * (1 + SCORE_SLACK) of the base point, or all
+    of them for a gauge that is no distance (see sample_patch).
+    sorted_points holds their points column-major, sorted by the coordinate
+    on the horizontal axis sort_axis, along which they spread widest, so a
+    ball can be scored on a window one coordinate at a time; order holds
+    their sample indices, which index alpha.  Membership in any ball B(y, t)
+    inside the reach can be tested against this one cloud (common random
+    numbers).
     """
 
     t: float
-    eta_coords: np.ndarray
-    points: np.ndarray
     alpha: np.ndarray
-    ok: np.ndarray
-    bracketed: np.ndarray
+    sorted_points: np.ndarray
+    order: np.ndarray
+    sort_axis: int
     volume: float
     halfwidths: np.ndarray
     failures: int
     expansions: int
     seed: int
-    sort_axis: int = 0
-    order: np.ndarray | None = None
-    sorted_points: np.ndarray | None = None
 
     @property
     def n_samples(self) -> int:
@@ -294,6 +297,15 @@ def sample_patch(
     within reach touch that block's shell; failure to stabilize, or a
     bracket-failure fraction above 0.1% among samples inside the provable
     bounds, raises RegionError.
+
+    The cloud keeps only the ok samples within reach' = reach (1 +
+    SCORE_SLACK) of x.  By the triangle inequality a hit of B(y, t) lies
+    within t + d(x, y) <= reach of x, so no hit is lost; the slack covers
+    rounding and perimeter_ball's centres, which may lie t (1 + 1e-9) from
+    x.  A gauge that is no distance (gauge.declared_distance false) gets no
+    such bound, so its cloud keeps every ok sample.  Each draw is worked
+    block by block (see _draw_cloud), so the checks above need no array of
+    the whole cloud but alpha and the kept rows.
     """
     model = spec.model
     if t <= 0:
@@ -309,12 +321,9 @@ def sample_patch(
     expansions = 0
     for attempt in range(MAX_BOX_ATTEMPTS):
         hw = slack * bounds
-        cloud = _draw_cloud(spec, gauge, t, n_samples, hw, seed, key + (attempt,))
-        near = gauge.in_ball(cloud.points, radius=reach, center=spec.x)
-        within = near & cloud.ok
-        if not within.any():
-            break
-        touched = np.any(np.abs(cloud.eta_coords[within]) > BOX_SHELL * hw, axis=0)
+        draw = _draw_cloud(spec, gauge, t, n_samples, hw, bounds,
+                           reach * (1.0 + SCORE_SLACK), seed, key + (attempt,))
+        touched = draw.shell > BOX_SHELL * hw  # all False when no sample is within reach
         if not touched.any():
             break
         # grow only the touched blocks so benign directions stay tight
@@ -327,57 +336,102 @@ def sample_patch(
         expansions += 1
     else:
         raise RegionError("parameter box did not stabilize after %d expansions" % MAX_BOX_ATTEMPTS)
-    relevant = np.all(np.abs(cloud.eta_coords) <= bounds, axis=-1)
-    rel_failures = int((~cloud.bracketed & relevant).sum())
-    if rel_failures > FAIL_FRACTION * max(int(relevant.sum()), 1):
+    if draw.failures > FAIL_FRACTION * max(draw.relevant, 1):
         raise RegionError(
             "graph-height bracket failed on %d reachable samples of %d: "
-            "surface leaves the patch" % (rel_failures, int(relevant.sum()))
+            "surface leaves the patch" % (draw.failures, draw.relevant)
         )
     # bracketed surface points with a degenerate aligned derivative inside the
     # reach region would silently undercount the integral; refuse instead
-    degenerate = cloud.bracketed & ~cloud.ok & near
-    if degenerate.any():
+    if draw.degenerate:
         raise RegionError(
             "the aligned derivative degenerates on %d reachable surface samples; "
-            "the radius exceeds the graph patch" % int(degenerate.sum())
+            "the radius exceeds the graph patch" % draw.degenerate
         )
-    ok_rows = np.flatnonzero(cloud.ok)
-    axis = 0
-    if len(ok_rows):  # column by column: a gathered copy of the ok points costs peak memory
-        axis = int(np.argmax([np.ptp(cloud.points[ok_rows, j]) for j in range(model.m1)]))
+    kept = draw.points
+    axis = int(np.argmax(np.ptp(kept[:, : model.m1], axis=0))) if len(kept) else 0
     # a window holds every sample with its key, so ties may come in any order
-    order = ok_rows[np.argsort(cloud.points[ok_rows, axis])]
-    sorted_points = np.empty((len(order), model.n), order="F")
+    order = np.argsort(kept[:, axis])
+    sorted_points = np.empty(kept.shape, order="F")
     for j in range(model.n):  # take's default mode would buffer each column
-        np.take(cloud.points[:, j], order, out=sorted_points[:, j], mode="clip")
-    return replace(cloud, failures=rel_failures, expansions=expansions,
-                   sort_axis=axis, order=order, sorted_points=sorted_points)
+        np.take(kept[:, j], order, out=sorted_points[:, j], mode="clip")
+    return PatchCloud(t=t, alpha=draw.alpha, sorted_points=sorted_points,
+                      order=draw.rows[order], sort_axis=axis, volume=float(np.prod(2.0 * hw)),
+                      halfwidths=hw, failures=draw.failures, expansions=expansions, seed=seed)
 
 
-def _draw_cloud(spec, gauge, t, n_samples, hw, seed, key) -> PatchCloud:
+class _Draw(NamedTuple):
+    """One draw of a cloud: every sample's density, the kept rows and the
+    statistics of its checks (see _draw_cloud)."""
+
+    alpha: np.ndarray
+    points: np.ndarray
+    rows: np.ndarray
+    shell: np.ndarray
+    relevant: int
+    failures: int
+    degenerate: int
+
+
+def _draw_cloud(spec, gauge, t, n_samples, hw, bounds, reach, seed, key) -> _Draw:
+    """Draw n_samples parameters in the box hw and keep the ok samples
+    within reach of the base point (every ok sample if the gauge is no
+    distance).
+
+    Each batch of box_batches is worked in nearly equal blocks of at most
+    HEIGHT_BLOCK rows (never one of a single row: BLAS rounds a one-row f
+    apart).  A block's heights, points and densities are found, and its
+    checks folded into the draw's, before the next block starts:
+
+    - points and sample indices of its kept rows;
+    - shell: the column maxima of |eta| over its ok rows within reach;
+    - relevant: the rows inside the provable bounds, over every block, and
+      failures: those of them whose height bracket failed;
+    - degenerate: the bracketed rows within reach that are not ok.
+
+    The shell and degenerate checks share the reach test that selects the
+    kept rows, whose radius is sample_patch's reach times 1 + SCORE_SLACK: a
+    sample in that thin outer shell lies inside the bounds for the wider
+    reach, which BOX_SLACK * BOX_SHELL (1.004) still clears, and a
+    degenerate sample there could be hit, so it is refused like one within
+    reach.
+    """
     model = spec.model
     e1 = embed_v1(model, spec.nu0)
-    # filled batch by batch, so no second copy of the cloud is ever held
-    coords = np.empty((n_samples, model.n - 1))
-    pts = np.empty((n_samples, model.n))
     alpha = np.zeros(n_samples)
-    ok = np.empty(n_samples, dtype=bool)
-    bracketed = np.empty(n_samples, dtype=bool)
+    shell = np.zeros(model.n - 1)
+    kept_points, kept_rows = [], []
+    relevant = failures = degenerate = 0
     start = 0
     for batch in box_batches(hw, n_samples, seed, key):
-        rows = slice(start, start + len(batch))
-        start = rows.stop
-        base = model.multiply(spec.x, spec.embed_parameters(batch))
-        phi, found = _graph_heights(spec, base, BRACKET_FACTOR * t)
-        pts[rows] = model.multiply(base, phi[:, None] * e1)
-        grads = spec.grad_many(pts[rows])
-        gn = np.linalg.norm(grads, axis=-1)
-        x1f = grads @ spec.nu0
-        good = found & (x1f > 1e-9 * np.maximum(gn, 1.0))
-        np.divide(gn, x1f, out=alpha[rows], where=good)
-        coords[rows], bracketed[rows], ok[rows] = batch, found, good
-    return PatchCloud(t, coords, pts, alpha, ok, bracketed, float(np.prod(2.0 * hw)), hw, 0, 0, seed)
+        k = len(batch)
+        blocks = -(-k // HEIGHT_BLOCK)
+        edges = [k * i // blocks for i in range(blocks + 1)]
+        for lo, hi in zip(edges, edges[1:]):
+            eta, rows = batch[lo:hi], slice(start + lo, start + hi)
+            base = model.multiply(spec.x, spec.embed_parameters(eta))
+            phi, found = _graph_heights(spec, base, BRACKET_FACTOR * t)
+            pts = model.multiply(base, phi[:, None] * e1)
+            grads = spec.grad_many(pts)
+            gn = np.linalg.norm(grads, axis=-1)
+            x1f = grads @ spec.nu0
+            good = found & (x1f > 1e-9 * np.maximum(gn, 1.0))
+            np.divide(gn, x1f, out=alpha[rows], where=good)
+            near = gauge.in_ball(pts, radius=reach, center=spec.x)
+            size = np.abs(eta)
+            inside = np.all(size <= bounds, axis=-1)
+            relevant += int(inside.sum())
+            failures += int((inside & ~found).sum())
+            degenerate += int((near & found & ~good).sum())
+            within = near & good
+            if within.any():
+                np.maximum(shell, size[within].max(axis=0), out=shell)
+            keep = np.flatnonzero(within if gauge.declared_distance else good)
+            kept_points.append(pts[keep])
+            kept_rows.append(rows.start + keep)
+        start += k
+    return _Draw(alpha, np.concatenate(kept_points), np.concatenate(kept_rows), shell,
+                 relevant, failures, degenerate)
 
 
 def _graph_heights(spec, base, half_width, doublings=BRACKET_DOUBLINGS):
@@ -394,44 +448,12 @@ def _graph_heights(spec, base, half_width, doublings=BRACKET_DOUBLINGS):
 
     The group line s -> base * (s e1) is affine in exponential coordinates,
     base + s (e1 + [base_1, e1] / 2), so one line per sample serves every
-    evaluation of f.  Rows are solved in nearly equal blocks of at most
-    HEIGHT_BLOCK, so the solver's arrays stay small next to the caller's.
+    evaluation of f.  All rows are solved as one block; _draw_cloud passes
+    blocks of at most HEIGHT_BLOCK rows, so the solver's arrays stay small.
     """
     model = spec.model
-    k = base.shape[0]
     cols = base.T
     slope2 = 0.5 * model.bracket_v1(model.v1(base), spec.nu0).T  # the first layer's is nu0
-    phi = np.empty(k)
-    bracketed = np.empty(k, dtype=bool)
-    blocks = -(-k // HEIGHT_BLOCK)
-    # equal blocks, never one of a single row: BLAS rounds a one-row f apart
-    edges = [k * i // blocks for i in range(blocks + 1)]
-    for start, stop in zip(edges, edges[1:]):
-        rows = slice(start, stop)
-        phi[rows], bracketed[rows] = _block_heights(
-            spec, cols[:, rows], slope2[:, rows], half_width, doublings
-        )
-    return phi, bracketed
-
-
-def _line(spec, cols, slope2):
-    """g(s) = f(base * (s e1)) for the bases whose coordinates are the columns
-    of cols.  The line is kept as (n, k) columns, and f sees a column-major
-    (k, n) view of one reused buffer."""
-    m1 = spec.model.m1
-    pts = np.empty(cols.shape)
-
-    def g(s):
-        np.multiply.outer(spec.nu0, s, out=pts[:m1])
-        np.multiply(slope2, s, out=pts[m1:])
-        np.add(pts, cols, out=pts)
-        return spec.f_many(pts.T)
-
-    return g
-
-
-def _block_heights(spec, cols, slope2, half_width, doublings):
-    """_graph_heights on one block, whose lines are given by cols and slope2."""
     g = _line(spec, cols, slope2)
     S = np.full(cols.shape[1], half_width)
     # copies: f may return a view into g's buffer, which the next g overwrites
@@ -460,6 +482,22 @@ def _block_heights(spec, cols, slope2, half_width, doublings):
     if len(rows):  # gathered: the fallback costs only the rows that need it
         phi[rows] = _bisect(_line(spec, cols[:, rows], slope2[:, rows]), S[rows], pos_hi[rows])
     return phi, ~no_flip
+
+
+def _line(spec, cols, slope2):
+    """g(s) = f(base * (s e1)) for the bases whose coordinates are the columns
+    of cols.  The line is kept as (n, k) columns, and f sees a column-major
+    (k, n) view of one reused buffer."""
+    m1 = spec.model.m1
+    pts = np.empty(cols.shape)
+
+    def g(s):
+        np.multiply.outer(spec.nu0, s, out=pts[:m1])
+        np.multiply(slope2, s, out=pts[m1:])
+        np.add(pts, cols, out=pts)
+        return spec.f_many(pts.T)
+
+    return g
 
 
 def _bisect(g, S, pos_hi):
@@ -500,11 +538,14 @@ def ratio_on_cloud(cloud: PatchCloud, gauge: Gauge, y, spec: SurfaceSpec):
     Returns (ratio, stderr); B(y, t) must lie within the cloud's reach, i.e.
     y within reach - t of the surface base point (t for the default reach).
 
+    The cloud holds every sample that B(y, t) can hit (see sample_patch).
     B(y, t) lies in the translate by y of the box whose layer blocks are
-    bounded by the gauge's block radii at scale t, so only the ok samples in
-    that box's window along the cloud's sort axis are translated, only those
-    inside the box are tested by the gauge, and the hits are exactly those
-    of a scan of the whole cloud.
+    bounded by the gauge's block radii at scale t, so only the kept samples
+    in that box's window along the cloud's sort axis are translated, only
+    those inside the box are tested by the gauge, and the hits are exactly
+    those of a scan of the whole cloud.  The hits' densities fill a weight
+    vector over all n_samples draws, whose mean and variance are the
+    estimate.
     """
     model = spec.model
     t = cloud.t

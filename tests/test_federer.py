@@ -216,6 +216,40 @@ def test_scoring_gauge_sees_under_a_tenth_of_the_cloud(h1, koranyi, monkeypatch)
     assert 0 < max(max(r) for r in search) < 0.1 * samples
 
 
+def test_search_cloud_keeps_and_translates_under_half_of_its_samples(h1, koranyi, monkeypatch):
+    # deterministic guard on the work the pruned cloud saves: the search
+    # cloud keeps only its ok samples within reach (37% at t = 0.1), and its
+    # 21 scorings hand model.multiply under a quarter of the cloud each (a
+    # window over every ok sample of the cloud held about 47%)
+    import carnotperim.federer as federer_module
+    from carnotperim.federer import SCAN
+    from carnotperim.groups import GroupModel
+
+    per_call, active = [], []
+    real_ratio, real_multiply = federer_module.ratio_on_cloud, GroupModel.multiply
+
+    def counted_ratio(cloud, *args):
+        active.append(0)
+        try:
+            return real_ratio(cloud, *args)
+        finally:
+            per_call.append((cloud, active.pop()))
+
+    def counted_multiply(self, p, q):
+        if active:
+            active[-1] += int(np.prod(np.broadcast_shapes(np.shape(p), np.shape(q))[:-1]))
+        return real_multiply(self, p, q)
+
+    monkeypatch.setattr(federer_module, "ratio_on_cloud", counted_ratio)
+    monkeypatch.setattr(GroupModel, "multiply", counted_multiply)
+    n = 20_000
+    federer_density(coordinate_plane(h1), koranyi, sched=DensitySchedule((0.1,), n, 7))
+    search = per_call[: len(SCAN)]
+    assert len(per_call) == len(SCAN) + 1 and len({id(c) for c, _ in search}) == 1
+    assert len(search[0][0].order) <= 0.45 * n
+    assert 0 < sum(rows for _, rows in search) <= 0.25 * len(SCAN) * n
+
+
 def test_each_radius_draws_two_clouds_and_scores_the_scan_once(h1, monkeypatch):
     # deterministic perf guard: one search cloud scored at most len(SCAN)
     # times and one rescore cloud scored once per radius (the compass search

@@ -276,8 +276,10 @@ def test_parse_gauge_specs(h1, r2):
     assert parse_gauge(h1, "dinf:eps2=0.5").eps2 == 0.5
     assert parse_gauge(h1, "starball:rho=0.5").spec_string() == "starball:rho=0.5"
     tb = parse_gauge(h1, "twoball:r1=1,z1=-0.55,r2=0.5,z2=0.45")
-    assert not tb.declared_convex
+    assert not tb.declared_convex and not tb.declared_distance
     assert parse_gauge(r2, "euclidean").kind == "euclidean"
+    for spec in ("koranyi", "dinf:eps2=0.5", "aniso:scale=2", "starball:rho=0.5"):
+        assert parse_gauge(h1, spec).declared_distance
     assert parse_gauge(h1, "aniso:scale=2").declared_v1_symmetric is False
     with pytest.raises(GaugeDefinitionError):
         parse_gauge(h1, "nosuch")

@@ -23,11 +23,18 @@ from carnotperim import (
 )
 from carnotperim.groups import embed_v1
 from carnotperim.mc import joint_stderr
+from carnotperim.mc import box_batches
 from carnotperim.surfaces import (
     BISECT_ITERS,
+    BOX_GROWTH,
+    BOX_SLACK,
     BRACKET_DOUBLINGS,
+    BRACKET_FACTOR,
     CERT_ITERS,
+    FAIL_FRACTION,
     HEIGHT_BLOCK,
+    MAX_BOX_ATTEMPTS,
+    SCORE_SLACK,
     _graph_heights,
     _reach_bounds,
     quadratic_graph,
@@ -331,9 +338,10 @@ def test_graph_heights_evaluation_count(request, group, surface, k):
         return spec.f(pts)
 
     _graph_heights(replace(spec, f=f), height_bases(model, spec, k), 0.4, doublings=0)
-    # per block of rows: the two bracket ends, then two probes a round
+    # each call solves its rows as one block: the two bracket ends, then two
+    # probes a round
     per_block = 4 if "plane" in surface else 2 + 2 * CERT_ITERS + BISECT_ITERS
-    assert 0 < len(calls) <= per_block * -(-k // HEIGHT_BLOCK)
+    assert 0 < len(calls) <= per_block
 
 
 def test_plane_fields_round_alike_in_both_layouts(h2):
@@ -350,17 +358,21 @@ def test_plane_fields_round_alike_in_both_layouts(h2):
 
 
 def test_blowup_kernels_see_column_major_layouts(h1):
+    # f sees each block of at most HEIGHT_BLOCK rows of a batch, column-major
     spec = parse_surface(h1, "tplane")
     gauge = parse_gauge(h1, "starball:rho=0.5")
-    layouts = []
+    for n, blocks in ((5000, {5000}), (20_000, {6666, 6667})):
+        layouts = []
 
-    def f(pts):
-        layouts.append((pts.shape, pts.flags.f_contiguous))
-        return spec.f(pts)
+        def f(pts):
+            layouts.append((pts.shape, pts.flags.f_contiguous))
+            return spec.f(pts)
 
-    cloud = sample_patch(replace(spec, f=f), gauge, 0.2, 5000, seed=7)
-    assert layouts and set(layouts) == {((5000, h1.n), True)}
-    assert cloud.sorted_points.flags.f_contiguous and not cloud.sorted_points.flags.c_contiguous
+        cloud = sample_patch(replace(spec, f=f), gauge, 0.2, n, seed=7)
+        assert max(blocks) <= HEIGHT_BLOCK
+        assert layouts and set(layouts) == {((k, h1.n), True) for k in blocks}
+        assert cloud.sorted_points.flags.f_contiguous
+        assert not cloud.sorted_points.flags.c_contiguous
 
 
 def test_graph_height_bracket_error(h1):
@@ -509,12 +521,77 @@ def test_koranyi_vertical_reach_bound_is_half_the_squared_reach(request, group):
             assert np.allclose(bounds[model.m1 - 1 :], 0.5 * R * R, rtol=1e-15, atol=0.0)
 
 
-def full_scan_ratio(cloud, gauge, y, spec):
-    """ratio_on_cloud's statistic with every ok sample of the cloud tested."""
+def whole_draw(spec, t, n_samples, hw, seed, key):
+    """Every sample of a cloud in the box hw, with nothing pruned: drawn from
+    the same substreams one box_batches batch at a time, with each batch's
+    heights by _graph_heights and its points by the group law.  Returns
+    (eta, points, alpha, ok, bracketed) over the whole cloud."""
+    model = spec.model
+    e1 = embed_v1(model, spec.nu0)
+    eta = np.empty((n_samples, model.n - 1))
+    pts = np.empty((n_samples, model.n))
+    alpha = np.zeros(n_samples)
+    ok = np.empty(n_samples, dtype=bool)
+    bracketed = np.empty(n_samples, dtype=bool)
+    start = 0
+    for batch in box_batches(hw, n_samples, seed, key):
+        rows = slice(start, start + len(batch))
+        start = rows.stop
+        base = model.multiply(spec.x, spec.embed_parameters(batch))
+        phi, found = _graph_heights(spec, base, BRACKET_FACTOR * t)
+        pts[rows] = model.multiply(base, phi[:, None] * e1)
+        grads = spec.grad_many(pts[rows])
+        gn = np.linalg.norm(grads, axis=-1)
+        x1f = grads @ spec.nu0
+        good = found & (x1f > 1e-9 * np.maximum(gn, 1.0))
+        np.divide(gn, x1f, out=alpha[rows], where=good)
+        eta[rows], bracketed[rows], ok[rows] = batch, found, good
+    return eta, pts, alpha, ok, bracketed
+
+
+def whole_draw_of(cloud, spec, key=()):
+    """The unpruned draw behind a cloud of sample_patch(..., key=key)."""
+    return whole_draw(spec, cloud.t, cloud.n_samples, cloud.halfwidths, cloud.seed,
+                      key + (cloud.expansions,))
+
+
+def whole_cloud(spec, gauge, t, n_samples, seed=7, key=(), reach=None):
+    """sample_patch's box growth and refusals on unpruned draws, each check
+    a pass over the whole cloud: returns the final draw, its failures and
+    expansions, and whether the cloud is refused."""
+    import carnotperim.surfaces as surfaces_module
+
+    model = spec.model
+    reach = 2.0 * t if reach is None else reach
+    bounds = _reach_bounds(spec, gauge, reach)
+    slack = np.full(model.n - 1, BOX_SLACK)
+    for attempt in range(MAX_BOX_ATTEMPTS):
+        hw = slack * bounds
+        draw = whole_draw(spec, t, n_samples, hw, seed, key + (attempt,))
+        eta, pts, _, ok, bracketed = draw
+        near = gauge.in_ball(pts, radius=reach, center=spec.x)
+        touched = np.any(np.abs(eta[near & ok]) > surfaces_module.BOX_SHELL * hw, axis=0)
+        if not touched.any():
+            break
+        if touched[: model.m1 - 1].any():
+            slack[: model.m1 - 1] *= BOX_GROWTH
+        if touched[model.m1 - 1 :].any():
+            slack[model.m1 - 1 :] *= BOX_GROWTH
+    relevant = np.all(np.abs(eta) <= bounds, axis=-1)
+    failures = int((~bracketed & relevant).sum())
+    refused = failures > FAIL_FRACTION * max(int(relevant.sum()), 1)
+    refused |= bool((bracketed & ~ok & near).any())
+    return draw, failures, attempt, refused
+
+
+def full_scan_ratio(draw, cloud, gauge, y, spec):
+    """ratio_on_cloud's statistic with every ok sample of the whole draw
+    tested."""
+    _, pts, alpha, ok, _ = draw
     t = cloud.t
-    hits = gauge.in_ball(cloud.points, radius=t, center=y) & cloud.ok
-    w = np.where(hits, cloud.alpha, 0.0)
-    n = cloud.n_samples
+    hits = gauge.in_ball(pts, radius=t, center=y) & ok
+    w = np.where(hits, alpha, 0.0)
+    n = len(w)
     mean = w.sum() / n
     var = max(float((w * w).sum()) - n * mean * mean, 0.0) / max(n - 1, 1)
     scale = cloud.volume / t ** (spec.model.Q - 1)
@@ -555,8 +632,92 @@ def test_ratio_on_cloud_matches_full_scan(request, group, gauge_spec, surface, m
                 w = model.dilate(1.0 / nw, w)
             centres.append(model.multiply(spec.x, model.dilate(t, w)))
         scores = [ratio_on_cloud(cloud, gauge, y, spec) for y in centres]
-        assert scores == [full_scan_ratio(cloud, gauge, y, spec) for y in centres]
+        draw = whole_draw_of(cloud, spec)
+        assert scores == [full_scan_ratio(draw, cloud, gauge, y, spec) for y in centres]
         assert scores[0][0] > 0.0
+
+
+PRUNED_CASES = [
+    ("h1", "koranyi", "tplane"),
+    ("h2", "koranyi", "tplane"),
+    ("h1", "starball:rho=0.5", "vplane:nu=1,0"),
+    ("h1", "twoball", "tplane"),
+]
+
+
+@pytest.mark.parametrize("shell", [0.93, 0.85])
+@pytest.mark.parametrize("reach", [2.0, 1.0])
+@pytest.mark.parametrize("group, gauge_spec, surface", PRUNED_CASES)
+def test_pruned_cloud_is_the_whole_cloud_restricted(request, group, gauge_spec, surface,
+                                                     reach, shell, monkeypatch):
+    # the cloud keeps exactly the ok samples within reach (1 + SCORE_SLACK)
+    # of the whole draw, bit for bit, and grows and counts as the whole-cloud
+    # checks do; the lower shell makes the boxes grow.  twoball is no
+    # distance, so a ball within reach may hit beyond it: it keeps every ok
+    # sample
+    import carnotperim.surfaces as surfaces_module
+
+    monkeypatch.setattr(surfaces_module, "BOX_SHELL", shell)
+    model = request.getfixturevalue(group)
+    gauge, spec, t = parse_gauge(model, gauge_spec), parse_surface(model, surface), 0.1
+    radii, real_in_ball = set(), gauge.in_ball
+
+    def in_ball(pts, radius=1.0, center=None):
+        radii.add((radius, center is spec.x))
+        return real_in_ball(pts, radius=radius, center=center)
+
+    gauge.in_ball = in_ball
+    cloud = sample_patch(spec, gauge, t, 20_000, seed=7, reach=reach * t)
+    del gauge.in_ball
+    assert radii == {(reach * t * (1.0 + SCORE_SLACK), True)}
+    draw, failures, expansions, refused = whole_cloud(spec, gauge, t, 20_000, reach=reach * t)
+    _, pts, alpha, ok, _ = draw
+    assert not refused
+    assert (cloud.failures, cloud.expansions) == (failures, expansions)
+    kept = np.flatnonzero(ok)
+    if gauge_spec != "twoball":
+        kept = np.flatnonzero(ok & gauge.in_ball(pts, radius=reach * t * (1.0 + SCORE_SLACK),
+                                                 center=spec.x))
+        assert 0 < len(kept) < 0.75 * len(alpha)
+    assert np.array_equal(np.sort(cloud.order), kept)
+    assert np.array_equal(cloud.sorted_points, pts[cloud.order])
+    assert np.all(np.diff(cloud.sorted_points[:, cloud.sort_axis]) >= 0.0)
+    assert np.array_equal(cloud.alpha, alpha)
+
+
+@pytest.mark.parametrize("over", [0, 1])
+def test_bracket_failures_in_one_block_count_against_the_whole_cloud(h1, koranyi, monkeypatch,
+                                                                     over):
+    # unbracketed rows that all open the second block of the batch are
+    # refused by their share of the relevant rows of the whole cloud; a
+    # share of that block's relevant rows alone would refuse both cases
+    import carnotperim.surfaces as surfaces_module
+
+    spec, t, n = coordinate_plane(h1), 0.1, 20_000
+    eta = whole_draw_of(sample_patch(spec, koranyi, t, n, seed=7), spec)[0]
+    relevant = np.all(np.abs(eta) <= _reach_bounds(spec, koranyi, 2.0 * t), axis=-1)
+    failing = int(FAIL_FRACTION * relevant.sum()) + over
+    first, second = n // 3, 2 * n // 3
+    m = int(np.searchsorted(np.cumsum(relevant[first:]), failing)) + 1
+    assert relevant[first : first + m].sum() == failing
+    assert failing > FAIL_FRACTION * relevant[first:second].sum() and first + m < second
+    real, calls = surfaces_module._graph_heights, []
+
+    def failing_heights(spec, base, half_width, doublings=BRACKET_DOUBLINGS):
+        phi, found = real(spec, base, half_width, doublings)
+        calls.append(len(base))
+        if len(calls) == 2:
+            phi[:m], found[:m] = 0.0, False
+        return phi, found
+
+    monkeypatch.setattr(surfaces_module, "_graph_heights", failing_heights)
+    if over:
+        with pytest.raises(RegionError, match="failed on %d reachable samples of %d"
+                           % (failing, relevant.sum())):
+            sample_patch(spec, koranyi, t, n, seed=7)
+    else:
+        assert sample_patch(spec, koranyi, t, n, seed=7).failures == failing
+    assert calls == [first, second - first, n - second]
 
 
 def test_quadratic_graph_gradient_matches_fd(h1):
