@@ -349,7 +349,9 @@ def sample_patch(
             "the radius exceeds the graph patch" % draw.degenerate
         )
     kept = draw.points
-    axis = int(np.argmax(np.ptp(kept[:, : model.m1], axis=0))) if len(kept) else 0
+    axis = 0
+    if len(kept):  # column by column: a row-major reduction along axis 0 loops per row
+        axis = int(np.argmax([np.ptp(kept[:, j]) for j in range(model.m1)]))
     # a window holds every sample with its key, so ties may come in any order
     order = np.argsort(kept[:, axis])
     sorted_points = np.empty(kept.shape, order="F")
@@ -424,8 +426,8 @@ def _draw_cloud(spec, gauge, t, n_samples, hw, bounds, reach, seed, key) -> _Dra
             failures += int((inside & ~found).sum())
             degenerate += int((near & found & ~good).sum())
             within = near & good
-            if within.any():
-                np.maximum(shell, size[within].max(axis=0), out=shell)
+            if within.any():  # column by column: a row-major max along axis 0 loops per row
+                np.maximum(shell, [col[within].max() for col in size.T], out=shell)
             keep = np.flatnonzero(within if gauge.declared_distance else good)
             kept_points.append(pts[keep])
             kept_rows.append(rows.start + keep)
