@@ -27,7 +27,6 @@ from __future__ import annotations
 import ast
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -321,9 +320,10 @@ def sample_patch(
     expansions = 0
     for attempt in range(MAX_BOX_ATTEMPTS):
         hw = slack * bounds
-        draw = _draw_cloud(spec, gauge, t, n_samples, hw, bounds,
-                           reach * (1.0 + SCORE_SLACK), seed, key + (attempt,))
-        touched = draw.shell > BOX_SHELL * hw  # all False when no sample is within reach
+        alpha, kept, rows, shell, relevant, failures, degenerate = _draw_cloud(
+            spec, gauge, t, n_samples, hw, bounds, reach * (1.0 + SCORE_SLACK), seed,
+            key + (attempt,))
+        touched = shell > BOX_SHELL * hw  # all False when no sample is within reach
         if not touched.any():
             break
         # grow only the touched blocks so benign directions stay tight
@@ -336,19 +336,18 @@ def sample_patch(
         expansions += 1
     else:
         raise RegionError("parameter box did not stabilize after %d expansions" % MAX_BOX_ATTEMPTS)
-    if draw.failures > FAIL_FRACTION * max(draw.relevant, 1):
+    if failures > FAIL_FRACTION * max(relevant, 1):
         raise RegionError(
             "graph-height bracket failed on %d reachable samples of %d: "
-            "surface leaves the patch" % (draw.failures, draw.relevant)
+            "surface leaves the patch" % (failures, relevant)
         )
     # bracketed surface points with a degenerate aligned derivative inside the
     # reach region would silently undercount the integral; refuse instead
-    if draw.degenerate:
+    if degenerate:
         raise RegionError(
             "the aligned derivative degenerates on %d reachable surface samples; "
-            "the radius exceeds the graph patch" % draw.degenerate
+            "the radius exceeds the graph patch" % degenerate
         )
-    kept = draw.points
     axis = 0
     if len(kept):  # column by column: a row-major reduction along axis 0 loops per row
         axis = int(np.argmax([np.ptp(kept[:, j]) for j in range(model.m1)]))
@@ -357,25 +356,12 @@ def sample_patch(
     sorted_points = np.empty(kept.shape, order="F")
     for j in range(model.n):  # take's default mode would buffer each column
         np.take(kept[:, j], order, out=sorted_points[:, j], mode="clip")
-    return PatchCloud(t=t, alpha=draw.alpha, sorted_points=sorted_points,
-                      order=draw.rows[order], sort_axis=axis, volume=float(np.prod(2.0 * hw)),
-                      halfwidths=hw, failures=draw.failures, expansions=expansions, seed=seed)
+    return PatchCloud(t=t, alpha=alpha, sorted_points=sorted_points, order=rows[order],
+                      sort_axis=axis, volume=float(np.prod(2.0 * hw)), halfwidths=hw,
+                      failures=failures, expansions=expansions, seed=seed)
 
 
-class _Draw(NamedTuple):
-    """One draw of a cloud: every sample's density, the kept rows and the
-    statistics of its checks (see _draw_cloud)."""
-
-    alpha: np.ndarray
-    points: np.ndarray
-    rows: np.ndarray
-    shell: np.ndarray
-    relevant: int
-    failures: int
-    degenerate: int
-
-
-def _draw_cloud(spec, gauge, t, n_samples, hw, bounds, reach, seed, key) -> _Draw:
+def _draw_cloud(spec, gauge, t, n_samples, hw, bounds, reach, seed, key):
     """Draw n_samples parameters in the box hw and keep the ok samples
     within reach of the base point (every ok sample if the gauge is no
     distance).
@@ -383,13 +369,14 @@ def _draw_cloud(spec, gauge, t, n_samples, hw, bounds, reach, seed, key) -> _Dra
     Each batch of box_batches is worked in nearly equal blocks of at most
     HEIGHT_BLOCK rows (never one of a single row: BLAS rounds a one-row f
     apart).  A block's heights, points and densities are found, and its
-    checks folded into the draw's, before the next block starts:
+    checks folded into the draw's, before the next block starts.  Returns
 
-    - points and sample indices of its kept rows;
-    - shell: the column maxima of |eta| over its ok rows within reach;
+    - alpha: every sample's density;
+    - the points and sample indices of the kept rows;
+    - shell: the column maxima of |eta| over the ok rows within reach;
     - relevant: the rows inside the provable bounds, over every block, and
       failures: those of them whose height bracket failed;
-    - degenerate: the bracketed rows within reach that are not ok.
+    - degenerate: the number of bracketed rows within reach that are not ok.
 
     The shell and degenerate checks share the reach test that selects the
     kept rows, whose radius is sample_patch's reach times 1 + SCORE_SLACK: a
@@ -432,8 +419,8 @@ def _draw_cloud(spec, gauge, t, n_samples, hw, bounds, reach, seed, key) -> _Dra
             kept_points.append(pts[keep])
             kept_rows.append(rows.start + keep)
         start += k
-    return _Draw(alpha, np.concatenate(kept_points), np.concatenate(kept_rows), shell,
-                 relevant, failures, degenerate)
+    return (alpha, np.concatenate(kept_points), np.concatenate(kept_rows), shell,
+            relevant, failures, degenerate)
 
 
 def _graph_heights(spec, base, half_width, doublings=BRACKET_DOUBLINGS):
