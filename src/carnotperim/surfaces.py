@@ -413,8 +413,8 @@ def _draw_cloud(spec, gauge, t, n_samples, hw, bounds, reach, seed, key):
             failures += int((inside & ~found).sum())
             degenerate += int((near & found & ~good).sum())
             within = near & good
-            if within.any():  # column by column: a row-major max along axis 0 loops per row
-                np.maximum(shell, [col[within].max() for col in size.T], out=shell)
+            # |eta| >= 0, so zeroing the other rows leaves the maxima over these
+            np.maximum(shell, (size * within[:, None]).max(axis=0), out=shell)
             keep = np.flatnonzero(within if gauge.declared_distance else good)
             kept_points.append(pts[keep])
             kept_rows.append(rows.start + keep)
