@@ -378,12 +378,11 @@ def _draw_cloud(spec, gauge, t, n_samples, hw, bounds, reach, seed, key):
       failures: those of them whose height bracket failed;
     - degenerate: the number of bracketed rows within reach that are not ok.
 
-    The shell and degenerate checks share the reach test that selects the
-    kept rows, whose radius is sample_patch's reach times 1 + SCORE_SLACK: a
-    sample in that thin outer shell lies inside the bounds for the wider
-    reach, which BOX_SLACK * BOX_SHELL (1.004) still clears, and a
-    degenerate sample there could be hit, so it is refused like one within
-    reach.
+    The shell and degenerate checks share the reach test that keeps rows,
+    whose radius is sample_patch's reach times 1 + SCORE_SLACK: a sample in
+    that thin outer shell lies inside the bounds for the wider reach, which
+    BOX_SLACK * BOX_SHELL (1.004) still clears, and a degenerate sample
+    there could be hit, so it is refused like one within reach.
     """
     model = spec.model
     e1 = embed_v1(model, spec.nu0)
