@@ -127,6 +127,14 @@ class Gauge:
     def norm_many(self, pts: Point) -> np.ndarray:
         raise NotImplementedError
 
+    def norm_near(self, pts: Point, near) -> np.ndarray:
+        """norm_many(pts), given an expected norm per row.
+
+        A gauge whose norm is a root search may use near to certify rows
+        within norm_tolerance of it; closed-form gauges ignore it.
+        """
+        return self.norm_many(pts)
+
     def block_radii(self) -> np.ndarray:
         """Per-layer Euclidean block radii of the unit ball.
 
@@ -294,7 +302,7 @@ class AnisotropicGauge(Gauge):
 # --- star-body gauges --------------------------------------------------------
 
 
-def star_norm(model: GroupModel, oracle, p: Point, tol: float = _STAR_TOL):
+def star_norm(model: GroupModel, oracle, p: Point, tol: float = _STAR_TOL, near=None):
     """Gauge of p for the body given by a membership oracle.
 
     The oracle must define a compact body containing a neighborhood of the
@@ -302,17 +310,32 @@ def star_norm(model: GroupModel, oracle, p: Point, tol: float = _STAR_TOL):
     flips exactly once along each dilation ray.  The unique boundary scale is
     located by bracket expansion plus bisection to relative tolerance tol.
     Vectorized: p may be an array of points.
+
+    near, if given, is an expected norm per point.  A row is certified when
+    it is inside at near + w and at 8 (near + w), and outside at near - w,
+    with w = 4 tol max(1, near), the norm_tolerance of a star gauge: these
+    are the spot checks below, moved to the ends of the band.  Membership
+    flips once along the ray, so the norm of a certified row lies within w
+    of near, and the row returns near.  Every other row, and every row with
+    near <= w, takes the bracket, bisection and spot checks unchanged; rows
+    do not depend on each other, so it gets the bits of a call without near.
+    No guard is lost: a certified row has answered the spot checks' three
+    questions (inside just above the norm and at eight times it, outside
+    just below it) at near +- w instead of r (1 +- 1e-6), and a row that
+    fails one goes on to the spot checks themselves.
     """
     pts = model.conform(np.atleast_2d(np.asarray(p, dtype=float)))
     scalar = np.asarray(p).ndim == 1
     out = np.zeros(pts.shape[0])
     active = np.any(pts != 0.0, axis=-1)
     if np.any(active):
-        out[active] = _star_norm_active(model, oracle, pts[active], tol)
+        if near is not None:
+            near = np.broadcast_to(np.asarray(near, dtype=float), out.shape)[active]
+        out[active] = _star_norm_active(model, oracle, pts[active], tol, near)
     return float(out[0]) if scalar else out
 
 
-def _star_norm_active(model, oracle, pts, tol):
+def _star_norm_active(model, oracle, pts, tol, near=None):
     k = pts.shape[0]
     # per call, not per step: a dilated block with contiguous columns and
     # the second layer's exponents (membership does not depend on layout)
@@ -324,6 +347,19 @@ def _star_norm_active(model, oracle, pts, tol):
     def inside(r, rows=None):
         ops = every_row if rows is None else _dilation_operands(model, pts_t[:, rows], dilated, twos)
         return np.asarray(oracle(_dilate_inv(r, *ops)), dtype=bool)
+
+    if near is not None:
+        w = 4.0 * tol * np.maximum(1.0, near)
+        certified = near > w  # false for NaN and inf too
+        above = np.where(certified, near + w, 1.0)  # rows near <= w probe at 1
+        certified &= inside(above)
+        certified &= inside(8.0 * above)
+        certified &= ~inside(np.where(certified, near - w, 1.0))
+        r = near.copy()
+        rest = ~certified
+        if rest.any():
+            r[rest] = _star_norm_active(model, oracle, pts[rest], tol)
+        return r
 
     lo = np.full(k, 0.5)
     hi = np.ones(k)
@@ -418,6 +454,10 @@ class StarBodyGauge(Gauge):
 
     def norm_many(self, pts):
         return star_norm(self.model, self.oracle, np.atleast_2d(self.model.conform(pts)), self.tol)
+
+    def norm_near(self, pts, near):
+        pts = np.atleast_2d(self.model.conform(pts))
+        return star_norm(self.model, self.oracle, pts, self.tol, near)
 
     def in_ball(self, pts, radius=1.0, center=None):
         pts = self.model.conform(pts)

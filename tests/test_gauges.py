@@ -152,6 +152,57 @@ def test_star_norm_bisection_is_bitwise_unchanged(request, group, spec):
     assert (got[::97] == 0.0).all() and (got[1:97] > 0.0).all()
 
 
+@pytest.mark.parametrize("group, spec", [("h1", "starball:rho=0.5"), ("h1", "twoball"),
+                                         ("h2", "starball:rho=0.5")])
+def test_star_norm_near_certifies_within_the_band(request, group, spec):
+    model = request.getfixturevalue(group)
+    gauge = parse_gauge(model, spec)
+    pts = random_points(model, np.random.default_rng(6), 3000)
+    pts[::97] = 0.0
+    plain = star_norm(model, gauge.oracle, pts, gauge.tol)
+    w = 4.0 * gauge.tol * np.maximum(1.0, plain)
+    # within the band: certified rows return near itself
+    near = plain + 0.25 * w
+    got = star_norm(model, gauge.oracle, pts, gauge.tol, near)
+    assert np.array_equal(got[plain > 0], near[plain > 0])
+    assert (got[::97] == 0.0).all()
+    # off by 10 w, or with near <= w: the plain call's bits
+    near = plain + 10.0 * w
+    near[1::7] = plain[1::7] - 10.0 * w[1::7]
+    near[2::7] = 0.0
+    near[3::7] = w[3::7]
+    near[4::7] = -1.0
+    near[5::7] = np.nan
+    got = star_norm(model, gauge.oracle, pts, gauge.tol, near)
+    assert np.array_equal(got.view(np.int64), plain.view(np.int64))
+    assert np.array_equal(gauge.norm_near(pts, near), got)
+    # one point, and near for a zero row
+    assert star_norm(model, gauge.oracle, pts[1], gauge.tol, plain[1]) == plain[1]
+    assert star_norm(model, gauge.oracle, pts[0], gauge.tol, 1.0) == 0.0
+
+
+def test_norm_near_keeps_the_monotone_ray_guard(h1):
+    def annulus(pts):  # does not contain the identity: outside at 8r
+        r2 = pts[..., 0] ** 2 + pts[..., 1] ** 2 + pts[..., 2] ** 2
+        return (r2 >= 0.25) & (r2 <= 1.0)
+
+    gauge = StarBodyGauge(h1, annulus, [1.0, 1.0], "annulus", False, True)
+    pts = np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(GaugeDefinitionError):
+        gauge.norm_many(pts)
+    # near = 2 passes the probes at near +- w and fails only at 8 (near + w)
+    for near in (2.0, 4.0, 8.0):
+        with pytest.raises(GaugeDefinitionError):
+            gauge.norm_near(pts, [near, 0.0])
+
+
+@pytest.mark.parametrize("spec", ["koranyi", "dinf:eps2=2", "aniso"])
+def test_closed_form_norm_near_is_norm_many(h1, spec):
+    gauge = parse_gauge(h1, spec)
+    pts = random_points(h1, np.random.default_rng(8), 500)
+    assert np.array_equal(gauge.norm_near(pts, np.ones(500)), gauge.norm_many(pts))
+
+
 def broadcast_dilate_inv(model, r, pts):
     """delta_{1/r} as star_norm computed it before it dilated per layer."""
     return pts * (1.0 / r)[..., None] ** model.dilation_weights

@@ -1,17 +1,23 @@
+import math
+
 import numpy as np
 import pytest
 
 from carnotperim import (
     AnisotropicGauge,
+    StarBodyGauge,
     blowup_suite,
     busemann_suite,
     convexity_check,
+    parse_gauge,
     run_all,
+    substream,
     symmetry_check,
     vertical_plane,
 )
 from carnotperim.federer import default_schedule
-from carnotperim.verify import FAIL, PASS, SKIPPED
+from carnotperim.gauges import sample_in_ball
+from carnotperim.verify import FAIL, PASS, SKIPPED, _random_rotation
 
 
 def test_convexity_pass_for_convex_catalog(koranyi, dinf2, starball):
@@ -58,6 +64,96 @@ def test_symmetry_fails_anisotropic_with_witness(h1):
     rot = {c.name: c for c in rep.checks}["rotation-invariance"]
     assert not rot.passed
     assert rep.info["witness"] is not None
+
+
+def test_trace_disc_tolerance_is_the_bound_applied(h1):
+    gauge = parse_gauge(h1, "starball:rho=2")
+    rep = symmetry_check(gauge, samples=2_000, seed=7)
+    disc = {c.name: c for c in rep.checks}["trace-is-a-disc"]
+    rot_tol = rep.checks[0].tolerance
+    assert rep.info["r0"] == pytest.approx(2.0)
+    assert disc.tolerance == max(rot_tol, 1e-7 * rep.info["r0"]) > 1e-7
+    assert disc.passed == (disc.observed <= disc.tolerance)
+
+
+def exact_rotation_scan(gauge, samples, seed):
+    """symmetry_check's rotation-invariance scan with norm_many on every
+    rotated row: the worst deviation and its witness."""
+    model = gauge.model
+    rng = substream(seed, 31)
+    family = [_random_rotation(rng, model.m1) for _ in range(64)]
+    pts = sample_in_ball(gauge, samples, rng, radius=2.0)
+    base = gauge.norm_many(pts)
+    worst, witness = -math.inf, None
+    for R in family:
+        rotated = pts.copy()
+        rotated[:, : model.m1] = pts[:, : model.m1] @ R.T
+        dev = np.abs(gauge.norm_many(rotated) - base)
+        i = int(np.argmax(dev))
+        if dev[i] > worst:
+            worst, witness = float(dev[i]), {"point": pts[i].tolist(), "rotation": R.tolist()}
+    return worst, witness
+
+
+@pytest.mark.parametrize("group, spec", [
+    ("h1", "koranyi"), ("h1", "dinf:eps2=1"), ("h1", "starball:rho=0.5"), ("h1", "aniso:scale=2"),
+    ("h1", "twoball"), ("h2", "koranyi"), ("h2", "starball:rho=0.5"), ("h2", "aniso:scale=2"),
+])
+def test_rotation_invariance_matches_the_exact_scan(request, group, spec):
+    gauge = parse_gauge(request.getfixturevalue(group), spec)
+    rep = symmetry_check(gauge, samples=4_000, seed=7)
+    rot = rep.checks[0]
+    worst, witness = exact_rotation_scan(gauge, 4_000, 7)
+    assert rot.passed == (worst <= rot.tolerance)
+    assert rep.info["witness"] == (None if rot.passed else witness)
+    if isinstance(gauge, StarBodyGauge) and rot.passed:
+        # certified rows read 0; the exact scan reads bisection noise, if any
+        assert rot.observed == 0.0 and worst <= gauge.norm_tolerance(2.0)
+    else:
+        assert rot.observed == worst
+
+
+def stretched_ball(model, e, rho=0.5):
+    """The Euclidean ball of radius rho on H^1 with x1 stretched by 1 + e."""
+    def oracle(pts):
+        return (pts[..., 0] * (1.0 + e)) ** 2 + pts[..., 1] ** 2 + pts[..., 2] ** 2 <= rho * rho
+
+    return StarBodyGauge(model, oracle, [rho, rho], "stretched", True, True)
+
+
+@pytest.mark.parametrize("e, regime", [(1e-10, "band"), (1e-9, "tolerance"), (1e-8, "fail")])
+def test_rotation_invariance_in_three_regimes(h1, e, regime):
+    gauge = stretched_ball(h1, e)
+    rep = symmetry_check(gauge, samples=2_000, seed=7)
+    rot = rep.checks[0]
+    worst, witness = exact_rotation_scan(gauge, 2_000, 7)
+    band = gauge.norm_tolerance(2.0)  # the widest certificate band, near = 2
+    if regime == "band":  # every rotated row is certified
+        assert 0.0 < worst <= band
+        assert rot.observed == 0.0 and rot.passed
+    elif regime == "tolerance":  # the worst rows are not, and read their exact deviation
+        assert band < worst <= rot.tolerance
+        assert rot.observed == worst and rot.passed
+    else:
+        assert worst > rot.tolerance
+        assert rot.observed == worst and not rot.passed
+        assert rep.info["witness"] == witness
+
+
+@pytest.mark.parametrize("group", ["h1", "h2"])
+def test_symmetry_check_oracle_rows_per_rotated_sample(request, group):
+    # the base norms, and the rotated rows certified near them
+    gauge = parse_gauge(request.getfixturevalue(group), "starball:rho=0.5")
+    oracle, rows = gauge.oracle, []
+
+    def counted(pts):
+        rows.append(len(pts))
+        return oracle(pts)
+
+    gauge.oracle = counted
+    rep = symmetry_check(gauge, samples=20_000, seed=7)
+    assert rep.outcome == PASS
+    assert sum(rows) <= 5 * 64 * 20_000
 
 
 def test_busemann_suite_koranyi(koranyi):
