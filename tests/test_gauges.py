@@ -196,13 +196,6 @@ def test_norm_near_keeps_the_monotone_ray_guard(h1):
             gauge.norm_near(pts, [near, 0.0])
 
 
-@pytest.mark.parametrize("spec", ["koranyi", "dinf:eps2=2", "aniso"])
-def test_closed_form_norm_near_is_norm_many(h1, spec):
-    gauge = parse_gauge(h1, spec)
-    pts = random_points(h1, np.random.default_rng(8), 500)
-    assert np.array_equal(gauge.norm_near(pts, np.ones(500)), gauge.norm_many(pts))
-
-
 def broadcast_dilate_inv(model, r, pts):
     """delta_{1/r} as star_norm computed it before it dilated per layer."""
     return pts * (1.0 / r)[..., None] ** model.dilation_weights
