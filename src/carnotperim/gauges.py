@@ -190,6 +190,26 @@ class Gauge:
         return out
 
 
+def _unit_quartic_bound() -> float:
+    """The largest double q with q ** 0.25 <= 1.0 under numpy's array pow.
+
+    Within 2^-40 of 1 the pow may round either way, so every double of that
+    band is tried with the same array ``** 0.25`` and the passing ones must
+    form a prefix of it.  Outside the band q^(1/4) is more than 2^-43 away
+    from 1, which a pow off by an ulp or two cannot cross.
+    """
+    lo, hi = np.array([1.0 - 2.0**-40, 1.0 + 2.0**-40]).view(np.int64)
+    band = np.arange(lo, hi + 1, dtype=np.int64).view(np.float64)
+    inside = band**0.25 <= 1.0
+    n = int(np.count_nonzero(inside))
+    if not (0 < n < band.size and inside[:n].all()):
+        raise ArithmeticError("pow(q, 0.25) <= 1 is not a prefix of the doubles near 1")
+    return float(band[n - 1])
+
+
+_UNIT_QUARTIC = _unit_quartic_bound()
+
+
 class KoranyiGauge(Gauge):
     """The Cygan-Koranyi gauge (|x1|^4 + 16 |x2|^2)^(1/4) on step-2 models."""
 
@@ -200,11 +220,31 @@ class KoranyiGauge(Gauge):
             raise ConformanceError("the koranyi gauge needs a step-2 model")
         super().__init__(model, declared_convex=True, declared_v1_symmetric=True)
 
-    def norm_many(self, pts):
-        pts = self.model.conform(pts)
+    def _quartic(self, pts):
+        """|x1|^4 + 16 |x2|^2 of conforming pts: the norm's fourth power."""
         a = _sum_sq(self.model.v1(pts))
+        a *= a  # in place on the fresh sums: the bits of a * a + 16.0 * b
         b = _sum_sq(self.model.v2(pts))
-        return (a * a + 16.0 * b) ** 0.25
+        b *= 16.0
+        a += b
+        return a
+
+    def norm_many(self, pts):
+        return self._quartic(self.model.conform(pts)) ** 0.25
+
+    def in_ball(self, pts, radius=1.0, center=None):
+        """Gauge.in_ball; the unit ball compares the quartic without a pow.
+
+        q ** 0.25 <= 1.0 holds exactly when q <= _UNIT_QUARTIC, the bound
+        found by running the same pow on every double it could round across,
+        so the answers are bitwise those of norm_many(pts) <= 1.0.
+        """
+        pts = self.model.conform(pts)
+        if center is not None:
+            pts = self.model.multiply(self.model.inverse(center), pts)
+        if radius == 1.0:
+            return self._quartic(pts) <= _UNIT_QUARTIC
+        return self.norm_many(pts) <= radius
 
     def block_radii(self):
         return np.array([1.0, 0.25])

@@ -68,13 +68,24 @@ def _slice_points(gauge, nu, perp, t, coords):
 
     The points come back column-major, as the .T view of an (n, k) array,
     so every coordinate is one contiguous run for the gauge.
+
+    On a first layer of dimension 2, perp has one row and the matmul is one
+    product per entry, which a broadcast multiply gives without a BLAS call.
+    The matmul adds that product to +0.0, which turns a -0.0 product into
+    +0.0; adding 0.0 to the offset t*nu instead makes the sum agree in
+    every case, so the points keep the matmul's bits.  Wider first layers
+    keep the matmul, whose summation order the seeded outputs depend on.
     """
     model = gauge.model
     cols = coords.T
     pts = np.empty((model.n, coords.shape[0]))
     h = pts[: model.m1]
-    np.matmul(perp.T, cols[: model.m1 - 1], out=h)
-    h += (t * nu)[:, None]
+    if model.m1 == 2:
+        np.multiply(perp.T, cols[:1], out=h)
+        h += (t * nu + 0.0)[:, None]
+    else:
+        np.matmul(perp.T, cols[: model.m1 - 1], out=h)
+        h += (t * nu)[:, None]
     if model.m2:
         pts[model.m1 :] = cols[model.m1 - 1 :]
     return pts.T

@@ -185,10 +185,14 @@ def symmetry_check(
 # --- section concavity and the central-slice identity ------------------------------
 
 
+_PROFILE_GRID = 41
+_BUSEMANN_CONVEXITY_SAMPLES = 20000  # cap on the busemann suite's convexity check
+
+
 def busemann_suite(
     gauge: Gauge,
     nu,
-    grid_size: int = 41,
+    grid_size: int = _PROFILE_GRID,
     n_samples: int = 100_000,
     seed: int = 7,
     workers: int = 1,
@@ -198,7 +202,12 @@ def busemann_suite(
     Applies to convex unit balls; when the convexity sampler fails the suite
     reports hypothesis-unmet and its checks are informational only.
     """
-    conv = convexity_check(gauge, min(n_samples, 20000), seed)
+    conv = convexity_check(gauge, min(n_samples, _BUSEMANN_CONVEXITY_SAMPLES), seed)
+    return _busemann_report(conv, gauge, nu, grid_size, n_samples, seed, workers)
+
+
+def _busemann_report(conv, gauge, nu, grid_size, n_samples, seed, workers):
+    """busemann_suite given its convexity report, conv."""
     hypothesis_met = conv.outcome == PASS
 
     profile = slice_profile(gauge, nu, grid_size, n_samples, seed=seed, workers=workers)
@@ -302,10 +311,16 @@ def run_all(
     """Run every suite against one gauge; returns the list of reports."""
     nu = np.zeros(model.m1)
     nu[0] = 1.0
+    conv = convexity_check(gauge, samples, seed)
+    busemann_conv = conv  # the busemann suite's own check, unless its size differs
+    if min(profile_samples, _BUSEMANN_CONVEXITY_SAMPLES) != samples:
+        busemann_conv = convexity_check(
+            gauge, min(profile_samples, _BUSEMANN_CONVEXITY_SAMPLES), seed)
     reports = [
-        convexity_check(gauge, samples, seed),
+        conv,
         symmetry_check(gauge, samples=samples, seed=seed),
-        busemann_suite(gauge, nu, n_samples=profile_samples, seed=seed, workers=workers),
+        _busemann_report(busemann_conv, gauge, nu, _PROFILE_GRID, profile_samples, seed,
+                         workers),
     ]
     if model.step == 2:
         if blowup_sched is None:

@@ -187,10 +187,10 @@ def test_scoring_gauge_sees_under_a_tenth_of_the_cloud(h1, koranyi, monkeypatch)
     # search clouds (the rescore cloud spans little more than its one ball)
     import carnotperim.federer as federer_module
     from carnotperim.federer import SCAN
-    from carnotperim.gauges import Gauge
 
     per_call, active = [], []
-    real_ratio, real_in_ball = federer_module.ratio_on_cloud, Gauge.in_ball
+    # the override that runs, not Gauge.in_ball
+    real_ratio, real_in_ball = federer_module.ratio_on_cloud, type(koranyi).in_ball
 
     def counted_ratio(cloud, *args):
         active.append(0)
@@ -205,7 +205,7 @@ def test_scoring_gauge_sees_under_a_tenth_of_the_cloud(h1, koranyi, monkeypatch)
         return real_in_ball(self, pts, *args, **kwargs)
 
     monkeypatch.setattr(federer_module, "ratio_on_cloud", counted_ratio)
-    monkeypatch.setattr(Gauge, "in_ball", counted_in_ball)
+    monkeypatch.setattr(type(koranyi), "in_ball", counted_in_ball)
     samples = 20_000
     sched = default_schedule(t0=0.2, halvings=1, samples_per_ball=samples, seed=7)
     federer_density(coordinate_plane(h1), koranyi, sched=sched)

@@ -6,14 +6,17 @@ from carnotperim import (
     CalibrationError,
     DInfinityGauge,
     GaugeDefinitionError,
+    KoranyiGauge,
     StarBodyGauge,
     calibrate_dinfty,
+    heisenberg,
     parse_gauge,
     parse_group,
     star_norm,
     validate,
 )
 from carnotperim.gauges import (
+    Gauge,
     _dilate_inv,
     _dilation_operands,
     _halve_bracket,
@@ -30,6 +33,47 @@ def test_koranyi_closed_form(koranyi):
     assert koranyi.norm([0.0, 0.0, 1.0]) == pytest.approx(2.0)  # (16)^(1/4)
     assert koranyi.norm([0.0, 0.0, 0.0]) == 0.0
     assert koranyi.r0 == pytest.approx(1.0, abs=1e-9)
+
+
+def _near_unit_quartic(model):
+    """Points whose |x1|^4 + 16 |x2|^2 covers every double within 64 ulps of 1.
+
+    x1 = (u, 0, ...) with u = 1 - j 2^-53 puts |x1|^4 on 1 - 4 j 2^-53, and
+    x2 = sqrt(i / 2) 2^-28 adds about i 2^-53 to it.  Returns the points and
+    their quartics, summed as the gauge sums them.
+    """
+    u, v = np.meshgrid(1.0 - np.arange(21) * 2.0**-53,
+                       np.sqrt(np.arange(141) / 2.0) * 2.0**-28, indexing="ij")
+    pts = np.zeros((u.size, model.n))
+    pts[:, 0] = u.ravel()
+    pts[:, model.m1] = v.ravel()
+    a = pts[:, 0] * pts[:, 0]
+    return pts, a * a + 16.0 * (pts[:, model.m1] * pts[:, model.m1])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_koranyi_unit_ball_compares_the_quartic_bit_for_bit(n):
+    model = heisenberg(n)
+    gauge = KoranyiGauge(model)
+    near, quartic = _near_unit_quartic(model)
+    ulps = np.concatenate([1.0 - np.arange(64, 0, -1) * 2.0**-53, 1.0 + np.arange(65) * 2.0**-52])
+    assert np.isin(ulps, quartic).all()
+    rng = substream(23, n)
+    rand = random_points(model, rng, 20_000, scale=1.2)
+    for pts in (near, rand):
+        expected = gauge.norm_many(pts) <= 1.0
+        assert expected.any() and not expected.all()
+        for layout in (np.ascontiguousarray(pts), np.asfortranarray(pts)):
+            assert np.array_equal(gauge.in_ball(layout), expected)
+    for p in near[np.abs(quartic - 1.0) <= 4 * 2.0**-52]:
+        assert gauge.in_ball(p) == (gauge.norm_many(p) <= 1.0)
+    # other radii and centres keep the base class's answer
+    z = random_points(model, rng, 1, scale=0.5)[0]
+    for pts in (rand, model.multiply(z, near)):
+        for radius in (1.0, 0.7):
+            for center in (None, z):
+                assert np.array_equal(gauge.in_ball(pts, radius, center),
+                                      Gauge.in_ball(gauge, pts, radius, center))
 
 
 def test_distance_left_invariance_and_scaling(koranyi, h1):

@@ -5,7 +5,6 @@ import pytest
 
 from carnotperim import KoranyiGauge, heisenberg, slice_area
 from carnotperim import mc
-from carnotperim.gauges import Gauge
 from carnotperim.groups import direction, vertical_complement
 
 
@@ -44,7 +43,16 @@ def _slice_inside(gauge, nu, t):
     return inside
 
 
-@pytest.mark.parametrize("n", [1000, 4095, 4096, 4097, 65536, 65537, 150001])
+# a slice box's sqrt(1 - t^2) widths, and halfwidths whose draws are tiny,
+# subnormal or huge
+HALFWIDTHS = (
+    [0.95, 0.95, 0.95, 0.25],
+    [math.sqrt(1.0 - 0.3**2), math.sqrt(1.0 - 0.7**2), 0.25],
+    [1e-300, 1e-310, 1e300, 6.5e299],
+)
+
+
+@pytest.mark.parametrize("n", [1000, 4095, 4096, 4097, 8191, 8192, 8193, 65536, 65537, 150001])
 def test_block_kernel_draws_whole_batch_numbers(n):
     gauge = KoranyiGauge(heisenberg(2))
     inside = _slice_inside(gauge, [1.0, 1.0, 0.0, 0.0], 0.3)
@@ -53,24 +61,29 @@ def test_block_kernel_draws_whole_batch_numbers(n):
     for workers in (1, 3):
         est = mc.hit_or_miss(hw, inside, n, 5, key=(2,), workers=workers)
         assert (est.value, est.stderr, est.n_samples) == expected
-    got = list(mc.box_batches(hw, n, 5, key=(2,)))
-    ref = _reference_draws(hw, n, 5, (2,))
-    assert len(got) == len(ref)
-    for a, b in zip(got, ref):
-        assert np.array_equal(a, b)
+    for hw in HALFWIDTHS:
+        # bit for bit: the int64 views tell -0.0 from 0.0 and every last bit
+        ref = np.concatenate(_reference_draws(hw, n, 5, (2,))).view(np.int64)
+        got = list(mc.box_batches(hw, n, 5, key=(2,)))
+        assert [len(a) for a in got] == mc._batch_sizes(n)
+        assert np.array_equal(np.concatenate(got).view(np.int64), ref)
+        blocks = []
+        mc.hit_or_miss(hw, lambda b: blocks.append(b.copy()) or np.ones(len(b), bool), n, 5,
+                       key=(2,))
+        assert np.array_equal(np.concatenate(blocks).view(np.int64), ref)
 
 
 def test_slice_area_hands_cache_sized_column_major_blocks(monkeypatch):
     # deterministic perf guard: whole C-order batches must not come back
     seen = []
-    real_in_ball = Gauge.in_ball
+    gauge = KoranyiGauge(heisenberg(1))
+    real_in_ball = type(gauge).in_ball  # the override that runs, not Gauge.in_ball
 
     def recorded(self, pts, *args, **kwargs):
         seen.append((pts.shape[0], pts.flags.f_contiguous))
         return real_in_ball(self, pts, *args, **kwargs)
 
-    monkeypatch.setattr(Gauge, "in_ball", recorded)
-    gauge = KoranyiGauge(heisenberg(1))
+    monkeypatch.setattr(type(gauge), "in_ball", recorded)
     slice_area(gauge, [1.0, 0.0], 0.3, 150_000, seed=7)
     assert sum(rows for rows, _ in seen) == 150_000
     assert all(rows <= mc.BLOCK and f_order for rows, f_order in seen)

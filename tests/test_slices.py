@@ -12,7 +12,8 @@ from carnotperim import (
 )
 from carnotperim.gauges import parse_gauge, sample_in_ball
 from carnotperim.mc import joint_stderr, substream
-from carnotperim.slices import slice_area_at_center
+from carnotperim.groups import direction, vertical_complement
+from carnotperim.slices import _slice_points, slice_area_at_center
 
 from conftest import KORANYI_PSI0
 
@@ -235,3 +236,31 @@ def test_twoball_profile_matches_disc_union_oracle(twoball):
     for i, t in enumerate((0.0, 0.3, 0.45, 0.5, 0.55, 0.9)):
         est = slice_area(twoball, [1.0, 0.0], t, n_samples=150_000, seed=7, key=(i,))
         assert abs(est.value - twoball_slice_oracle(t)) <= 3.0 * max(est.stderr, 1e-12)
+
+
+# --- the slice embedding ------------------------------------------------------------
+
+
+def _matmul_slice_points(model, nu, perp, t, coords):
+    """_slice_points with the matmul on every first layer."""
+    cols = coords.T
+    pts = np.empty((model.n, coords.shape[0]))
+    h = pts[: model.m1]
+    np.matmul(perp.T, cols[: model.m1 - 1], out=h)
+    h += (t * nu)[:, None]
+    pts[model.m1 :] = cols[model.m1 - 1 :]
+    return pts.T
+
+
+@pytest.mark.parametrize("nu", [[1.0, 0.0], [0.0, -1.0], [0.6, -0.8], [-1.0, 3.0]])
+@pytest.mark.parametrize("t", [0.0, 0.3, -0.3, -0.0])
+def test_h1_slice_points_keep_the_matmul_bits(koranyi, nu, t):
+    model = koranyi.model
+    nu = direction(model, nu)
+    perp = vertical_complement(model, nu)
+    coords = np.asfortranarray(substream(3).uniform(-1.0, 1.0, (8192, 2)))
+    coords[:3] = [[-0.0, 0.5], [0.0, -0.0], [-0.0, -0.0]]
+    got = _slice_points(koranyi, nu, perp, t, coords)
+    ref = _matmul_slice_points(model, nu, perp, t, coords)
+    assert got.flags.f_contiguous
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))

@@ -15,6 +15,7 @@ from carnotperim import (
     symmetry_check,
     vertical_plane,
 )
+from carnotperim import verify as verify_module
 from carnotperim.federer import default_schedule
 from carnotperim.gauges import sample_in_ball
 from carnotperim.verify import FAIL, PASS, SKIPPED, _random_rotation
@@ -206,6 +207,27 @@ def test_run_all_koranyi(h1, koranyi):
     reports = run_all(h1, koranyi, seed=7, samples=10_000, profile_samples=20_000)
     assert [r.suite for r in reports] == ["convexity", "symmetry", "busemann", "blowup"]
     assert all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("samples, profile_samples, calls",
+                         [(5_000, 5_000, 1), (20_000, 30_000, 1), (5_000, 8_000, 2)])
+def test_run_all_runs_each_convexity_check_once(monkeypatch, h1, starball, samples,
+                                                profile_samples, calls):
+    # the busemann suite checks min(profile_samples, 20000) samples; when that
+    # is run_all's own count the report is shared, not sampled again
+    seen = []
+    real = verify_module.convexity_sample
+
+    def counted(gauge, samples, seed):
+        seen.append(samples)
+        return real(gauge, samples, seed)
+
+    monkeypatch.setattr(verify_module, "convexity_sample", counted)
+    reports = run_all(h1, starball, seed=7, samples=samples, profile_samples=profile_samples,
+                      blowup_sched=default_schedule(t0=0.4, halvings=1, samples_per_ball=10_000,
+                                                    seed=7))
+    assert len(seen) == calls
+    assert reports[2] == busemann_suite(starball, [1.0, 0.0], n_samples=profile_samples, seed=7)
 
 
 def test_run_all_abelian_disc(r2, disc):
