@@ -63,9 +63,10 @@ def test_block_kernel_draws_whole_batch_numbers(n):
         assert (est.value, est.stderr, est.n_samples) == expected
     for hw in HALFWIDTHS:
         # bit for bit: the int64 views tell -0.0 from 0.0 and every last bit
-        ref = np.concatenate(_reference_draws(hw, n, 5, (2,))).view(np.int64)
+        ref_batches = _reference_draws(hw, n, 5, (2,))
+        ref = np.concatenate(ref_batches).view(np.int64)
         got = list(mc.box_batches(hw, n, 5, key=(2,)))
-        assert [len(a) for a in got] == mc._batch_sizes(n)
+        assert [len(a) for a in got] == [len(b) for b in ref_batches]
         assert np.array_equal(np.concatenate(got).view(np.int64), ref)
         blocks = []
         mc.hit_or_miss(hw, lambda b: blocks.append(b.copy()) or np.ones(len(b), bool), n, 5,

@@ -218,9 +218,9 @@ def test_run_all_runs_each_convexity_check_once(monkeypatch, h1, starball, sampl
     seen = []
     real = verify_module.convexity_sample
 
-    def counted(gauge, samples, seed):
-        seen.append(samples)
-        return real(gauge, samples, seed)
+    def counted(gauge, n, seed):
+        seen.append(n)
+        return real(gauge, n, seed)
 
     monkeypatch.setattr(verify_module, "convexity_sample", counted)
     reports = run_all(h1, starball, seed=7, samples=samples, profile_samples=profile_samples,
