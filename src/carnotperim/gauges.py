@@ -271,9 +271,9 @@ class DInfinityGauge(Gauge):
 
     def norm_many(self, pts):
         pts = self.model.conform(pts)
-        out = np.linalg.norm(self.model.v1(pts), axis=-1)
+        out = np.sqrt(_sum_sq(self.model.v1(pts)))
         if self.model.m2:
-            v2 = np.linalg.norm(self.model.v2(pts), axis=-1)
+            v2 = np.sqrt(_sum_sq(self.model.v2(pts)))
             out = np.maximum(out, self.eps2 * np.sqrt(v2))
         return out
 
@@ -297,7 +297,7 @@ class EuclideanGauge(Gauge):
         super().__init__(model, declared_convex=True, declared_v1_symmetric=True)
 
     def norm_many(self, pts):
-        return np.linalg.norm(self.model.conform(pts), axis=-1)
+        return np.sqrt(_sum_sq(self.model.conform(pts)))
 
     def block_radii(self):
         return np.array([1.0])
@@ -363,15 +363,26 @@ def star_norm(model: GroupModel, oracle, p: Point, tol: float = _STAR_TOL, near=
     questions (inside just above the norm and at eight times it, outside
     just below it) at near +- w instead of r (1 +- 1e-6), and a row that
     fails one goes on to the spot checks themselves.
+
+    The identity has norm 0 and skips the search.  When no row is the
+    identity, the rows go to the search as they are, without a gathered
+    copy and a scatter back; rows do not depend on each other there, so the
+    bits are the same either way.
     """
     pts = model.conform(np.atleast_2d(np.asarray(p, dtype=float)))
     scalar = np.asarray(p).ndim == 1
-    out = np.zeros(pts.shape[0])
-    active = np.any(pts != 0.0, axis=-1)
-    if np.any(active):
-        if near is not None:
-            near = np.broadcast_to(np.asarray(near, dtype=float), out.shape)[active]
-        out[active] = _star_norm_active(model, oracle, pts[active], tol, near)
+    if near is not None:
+        near = np.broadcast_to(np.asarray(near, dtype=float), pts.shape[:1])
+    active = pts[:, 0] != 0.0  # column by column: a reduction along a short row loops per row
+    for j in range(1, pts.shape[1]):
+        active |= pts[:, j] != 0.0
+    if active.all():
+        out = _star_norm_active(model, oracle, pts, tol, near)
+    else:
+        out = np.zeros(pts.shape[0])
+        if active.any():
+            out[active] = _star_norm_active(model, oracle, pts[active], tol,
+                                            None if near is None else near[active])
     return float(out[0]) if scalar else out
 
 

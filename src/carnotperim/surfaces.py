@@ -85,10 +85,21 @@ class SurfaceSpec:
         return np.asarray(self.grad_h(self.model.conform(pts)), dtype=float)
 
     def embed_parameters(self, coords):
-        """Embed (m1-1 + m2) parameter coordinates as points of N, column-major."""
+        """Embed (m1-1 + m2) parameter coordinates as points of N, column-major.
+
+        On a first layer of dimension 2 the frame has one row, and a
+        broadcast multiply gives the matmul's products without a BLAS call;
+        adding 0.0 turns a -0.0 product into +0.0 as the matmul's sum does,
+        so the points keep its bits (as in slices._slice_points).
+        """
         model = self.model
-        out = np.zeros(coords.shape[:-1] + (model.n,), order="F")
-        out[..., : model.m1] = coords[..., : model.m1 - 1] @ self.frame_perp
+        out = np.empty(coords.shape[:-1] + (model.n,), order="F")
+        h = out[..., : model.m1]
+        if model.m1 == 2:
+            np.multiply(coords[..., :1], self.frame_perp[0], out=h)
+            h += 0.0
+        else:
+            h[...] = coords[..., : model.m1 - 1] @ self.frame_perp
         if model.m2:
             out[..., model.m1 :] = coords[..., model.m1 - 1 :]
         return out
@@ -353,10 +364,7 @@ def sample_patch(
         axis = int(np.argmax([np.ptp(kept[:, j]) for j in range(model.m1)]))
     # a window holds every sample with its key, so ties may come in any order
     order = np.argsort(kept[:, axis])
-    sorted_points = np.empty(kept.shape, order="F")
-    for j in range(model.n):  # take's default mode would buffer each column
-        np.take(kept[:, j], order, out=sorted_points[:, j], mode="clip")
-    return PatchCloud(t=t, alpha=alpha, sorted_points=sorted_points, order=rows[order],
+    return PatchCloud(t=t, alpha=alpha, sorted_points=_take_rows(kept, order), order=rows[order],
                       sort_axis=axis, volume=float(np.prod(2.0 * hw)), halfwidths=hw,
                       failures=failures, expansions=expansions, seed=seed)
 
@@ -383,6 +391,18 @@ def _draw_cloud(spec, gauge, t, n_samples, hw, bounds, reach, seed, key):
     that thin outer shell lies inside the bounds for the wider reach, which
     BOX_SLACK * BOX_SHELL (1.004) still clears, and a degenerate sample
     there could be hit, so it is refused like one within reach.
+
+    A block keeps one column-major layout from the draw to the kept rows,
+    and no reduction runs along a short row where a column-wise form has
+    the same bits.  Elementwise numpy ops with operands of mixed layouts,
+    fancy indexing on a C-ordered array and np.linalg.norm along rows of 2
+    to 4 entries each cost several times their column-wise forms: on an
+    8192-row H^1 block the height step went 165 -> 60 us, the reach test
+    160 -> 97 us, |grad_H f| 145 -> 23 us and the kept-row gather 36 -> 17
+    us.  |grad_H f| adds the squares in index order (_sum_sq), which is
+    np.linalg.norm's order for rows of fewer than 8 entries; from 8 on
+    numpy adds a C-ordered row in another order, so on H^4 and up alpha's
+    last bits follow the index order in every layout.
     """
     model = spec.model
     e1 = embed_v1(model, spec.nu0)
@@ -399,27 +419,38 @@ def _draw_cloud(spec, gauge, t, n_samples, hw, bounds, reach, seed, key):
             eta, rows = batch[lo:hi], slice(start + lo, start + hi)
             base = model.multiply(spec.x, spec.embed_parameters(eta))
             phi, found = _graph_heights(spec, base, BRACKET_FACTOR * t)
-            pts = model.multiply(base, phi[:, None] * e1)
+            step = np.empty(base.shape, order="F")
+            np.multiply.outer(phi, e1, out=step)
+            pts = model.multiply(base, step)
             grads = spec.grad_many(pts)
-            gn = np.linalg.norm(grads, axis=-1)
+            gn = np.sqrt(_sum_sq(grads))
             x1f = grads @ spec.nu0
             good = found & (x1f > 1e-9 * np.maximum(gn, 1.0))
             np.divide(gn, x1f, out=alpha[rows], where=good)
             near = gauge.in_ball(pts, radius=reach, center=spec.x)
             size = np.abs(eta)
             inside = np.all(size <= bounds, axis=-1)
-            relevant += int(inside.sum())
-            failures += int((inside & ~found).sum())
-            degenerate += int((near & found & ~good).sum())
+            relevant += int(np.count_nonzero(inside))
+            failures += int(np.count_nonzero(inside & ~found))
+            degenerate += int(np.count_nonzero(near & found & ~good))
             within = near & good
             # |eta| >= 0, so zeroing the other rows leaves the maxima over these
             np.maximum(shell, (size * within[:, None]).max(axis=0), out=shell)
             keep = np.flatnonzero(within if gauge.declared_distance else good)
-            kept_points.append(pts[keep])
+            kept_points.append(_take_rows(pts, keep))
             kept_rows.append(rows.start + keep)
         start += k
     return (alpha, np.concatenate(kept_points), np.concatenate(kept_rows), shell,
             relevant, failures, degenerate)
+
+
+def _take_rows(pts, rows):
+    """pts[rows] of a column-major pts as a column-major array, gathered one
+    column at a time (take's default mode would buffer each column)."""
+    out = np.empty((len(rows), pts.shape[1]), order="F")
+    for j in range(pts.shape[1]):
+        np.take(pts[:, j], rows, out=out[:, j], mode="clip")
+    return out
 
 
 def _graph_heights(spec, base, half_width, doublings=BRACKET_DOUBLINGS):
@@ -552,7 +583,7 @@ def ratio_on_cloud(cloud: PatchCloud, gauge: Gauge, y, spec: SurfaceSpec):
             v = t * t * radii[1]
             in_box &= _sum_sq(model.v2(rel)) <= v * v
         rows = np.flatnonzero(in_box)
-        hits = cloud.order[start + rows[gauge.in_ball(rel[rows], radius=t)]]
+        hits = cloud.order[start + rows[gauge.in_ball(_take_rows(rel, rows), radius=t)]]
         w[hits] = cloud.alpha[hits]
     n = cloud.n_samples
     mean = w.sum() / n

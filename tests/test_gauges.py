@@ -15,11 +15,14 @@ from carnotperim import (
     star_norm,
     validate,
 )
+import carnotperim.gauges as gauges_module
 from carnotperim.gauges import (
     Gauge,
     _dilate_inv,
     _dilation_operands,
     _halve_bracket,
+    _star_norm_active,
+    _sum_sq,
     convexity_sample,
     sample_in_ball,
 )
@@ -225,6 +228,69 @@ def test_star_norm_near_certifies_within_the_band(request, group, spec):
     assert star_norm(model, gauge.oracle, pts[0], gauge.tol, 1.0) == 0.0
 
 
+def gathered_star_norm(model, oracle, p, tol, near=None):
+    """star_norm as it was before it passed all-nonzero rows through:
+    gather the nonzero rows, search them, scatter the norms back."""
+    pts = model.conform(np.atleast_2d(np.asarray(p, dtype=float)))
+    scalar = np.asarray(p).ndim == 1
+    out = np.zeros(pts.shape[0])
+    active = np.any(pts != 0.0, axis=-1)
+    if np.any(active):
+        if near is not None:
+            near = np.broadcast_to(np.asarray(near, dtype=float), out.shape)[active]
+        out[active] = _star_norm_active(model, oracle, pts[active], tol, near)
+    return float(out[0]) if scalar else out
+
+
+@pytest.mark.parametrize("zero_rows", ["none", "some", "all"])
+@pytest.mark.parametrize("group, spec", [("h1", "starball:rho=0.5"), ("h1", "twoball"),
+                                         ("h2", "starball:rho=0.5")])
+def test_star_norm_equals_the_gathered_search(request, group, spec, zero_rows):
+    model = request.getfixturevalue(group)
+    gauge = parse_gauge(model, spec)
+    pts = random_points(model, np.random.default_rng(8), 2000)
+    if zero_rows == "some":
+        pts[::89] = 0.0
+    elif zero_rows == "all":
+        pts[:] = 0.0
+    plain = gathered_star_norm(model, gauge.oracle, pts, gauge.tol)
+    # within the band, and 10 w above and below it
+    offsets = np.resize([0.25, 10.0, -10.0], 2000)
+    near = plain + offsets * 4.0 * gauge.tol * np.maximum(1.0, plain)
+    for layout in (pts, np.asfortranarray(pts)):
+        for nr in (None, near, 1.0):
+            want = gathered_star_norm(model, gauge.oracle, pts, gauge.tol, nr)
+            got = star_norm(model, gauge.oracle, layout, gauge.tol, nr)
+            assert got.dtype == np.float64 and got.shape == (2000,)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # one point returns a float, zero or not, with and without near
+    for p in (pts[1], np.zeros(model.n)):
+        for nr in (None, plain[1], 1.0):
+            got = star_norm(model, gauge.oracle, p, gauge.tol, nr)
+            assert type(got) is float
+            assert got == gathered_star_norm(model, gauge.oracle, p, gauge.tol, nr)
+
+
+def test_star_norm_searches_all_nonzero_rows_in_place(h1, starball, monkeypatch):
+    # with no zero row the search reads the caller's rows, not a gathered copy
+    seen = []
+
+    def recording(model, oracle, pts, tol, near=None):
+        seen.append(pts)
+        return _star_norm_active(model, oracle, pts, tol, near)
+
+    monkeypatch.setattr(gauges_module, "_star_norm_active", recording)
+    pts = random_points(h1, np.random.default_rng(9), 500)
+    for near in (None, starball.norm_many(pts)):
+        seen.clear()
+        star_norm(h1, starball.oracle, pts, starball.tol, near)
+        assert seen[0] is pts
+    pts[3] = 0.0
+    seen.clear()
+    star_norm(h1, starball.oracle, pts, starball.tol)
+    assert len(seen[0]) == 499 and not np.shares_memory(seen[0], pts)
+
+
 def test_norm_near_keeps_the_monotone_ray_guard(h1):
     def annulus(pts):  # does not contain the identity: outside at 8r
         r2 = pts[..., 0] ** 2 + pts[..., 1] ** 2 + pts[..., 2] ** 2
@@ -298,6 +364,20 @@ def test_batched_norms_equal_one_row_norms(request, group, spec):
     pairs = np.concatenate([gauge.norm_many(pts[i : i + 2]) for i in range(0, len(pts), 2)])
     one_row = np.array([gauge.norm(p) for p in pts])
     assert np.array_equal(batched, one_row) and np.array_equal(pairs, one_row)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_sum_sq_root_is_bitwise_the_row_norm(m):
+    # below 8 entries np.linalg.norm adds a row in index order, in either layout
+    rng = np.random.default_rng(m)
+    g = rng.standard_normal((20_000, m)) * 10.0 ** rng.uniform(-150.0, 150.0, (20_000, 1))
+    g[::7] = 0.0
+    g[1::7, 0] = -0.0
+    g[2::7, m - 1] = -0.0
+    g[3::7] = -0.0
+    for layout in (g, np.asfortranarray(g), g @ np.eye(m)):
+        want = np.linalg.norm(layout, axis=-1)
+        assert np.array_equal(np.sqrt(_sum_sq(layout)).view(np.int64), want.view(np.int64))
 
 
 def test_halve_bracket_selects_exact_bits():
@@ -388,7 +468,10 @@ _CATALOG = [
 ] + [
     ("heisenberg:2", spec)
     for spec in ("koranyi", "dinf:eps2=0.5", "aniso:scale=2", "starball:rho=0.5")
-] + [("abelian:2", "euclidean")]
+] + [("abelian:2", "euclidean")] + [
+    # from 8 entries np.linalg.norm would add a C-ordered row in another order
+    ("heisenberg:4", "dinf:eps2=0.5"), ("abelian:9", "euclidean"),
+]
 
 
 @pytest.mark.parametrize("group,spec", _CATALOG)

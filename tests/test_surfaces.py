@@ -21,7 +21,7 @@ from carnotperim import (
     slice_area,
     vertical_plane,
 )
-from carnotperim.groups import embed_v1
+from carnotperim.groups import embed_v1, heisenberg
 from carnotperim.mc import joint_stderr
 from carnotperim.mc import box_batches
 from carnotperim.surfaces import (
@@ -35,8 +35,10 @@ from carnotperim.surfaces import (
     HEIGHT_BLOCK,
     MAX_BOX_ATTEMPTS,
     SCORE_SLACK,
+    _draw_cloud,
     _graph_heights,
     _reach_bounds,
+    _take_rows,
     quadratic_graph,
     ratio_on_cloud,
     sample_patch,
@@ -362,17 +364,84 @@ def test_blowup_kernels_see_column_major_layouts(h1):
     spec = parse_surface(h1, "tplane")
     gauge = parse_gauge(h1, "starball:rho=0.5")
     for n, blocks in ((5000, {5000}), (20_000, {6666, 6667})):
-        layouts = []
+        layouts, grad_layouts, reach_layouts = [], [], []
 
         def f(pts):
             layouts.append((pts.shape, pts.flags.f_contiguous))
             return spec.f(pts)
 
-        cloud = sample_patch(replace(spec, f=f), gauge, 0.2, n, seed=7)
+        def grad_h(pts):
+            grad_layouts.append((pts.shape, pts.flags.f_contiguous))
+            return spec.grad_h(pts)
+
+        def in_ball(pts, radius=1.0, center=None):
+            reach_layouts.append((pts.shape, pts.flags.f_contiguous))
+            return type(gauge).in_ball(gauge, pts, radius, center)
+
+        gauge.in_ball = in_ball
+        cloud = sample_patch(replace(spec, f=f, grad_h=grad_h), gauge, 0.2, n, seed=7)
         assert max(blocks) <= HEIGHT_BLOCK
         assert layouts and set(layouts) == {((k, h1.n), True) for k in blocks}
         assert cloud.sorted_points.flags.f_contiguous
         assert not cloud.sorted_points.flags.c_contiguous
+        # the points on the graph keep the blocks' layout: the gradient and
+        # the reach test read them column by column too
+        assert set(grad_layouts) == set(reach_layouts) == {((k, h1.n), True) for k in blocks}
+
+
+@pytest.mark.parametrize("surface", ["tplane", "vplane:nu=1,0", "vplane:nu=0.6,-0.8",
+                                     "vplane:nu=-1,0", "vplane:nu=0,1"])
+def test_embed_parameters_on_h1_is_the_matmul_bit_for_bit(h1, surface):
+    spec = parse_surface(h1, surface)
+    coords = np.random.default_rng(41).uniform(-1.0, 1.0, size=(5000, h1.n - 1))
+    coords[::5, 0] = -0.0
+    coords[1::5, 0] = 0.0
+    coords[2::5, 0] *= 1e-300
+    coords[3::5, 0] *= 1e300
+    for layout in (coords, np.asfortranarray(coords)):
+        want = np.zeros((len(coords), h1.n), order="F")
+        want[:, :2] = layout[:, :1] @ spec.frame_perp
+        want[:, 2:] = layout[:, 1:]
+        got = spec.embed_parameters(layout)
+        assert got.flags.f_contiguous
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_take_rows_is_the_row_gather():
+    pts = np.asfortranarray(np.random.default_rng(42).standard_normal((3000, 5)))
+    rng = np.random.default_rng(43)
+    for rows in (np.flatnonzero(rng.random(3000) < 0.3), rng.permutation(3000),
+                 np.arange(0), np.array([2999, 0, 0, 7])):
+        got = _take_rows(pts, rows)
+        assert got.flags.f_contiguous and got.shape == (len(rows), 5)
+        assert np.array_equal(got.view(np.int64), pts[rows].view(np.int64))
+
+
+def test_density_adds_the_gradient_squares_in_index_order_on_h4():
+    # from 8 entries np.linalg.norm adds a C-ordered row in another order;
+    # |grad_H f| adds the squares in index order in every layout
+    model = heisenberg(4)
+    spec = parse_surface(model, "tplane")
+    gauge = parse_gauge(model, "koranyi")
+    grads = []
+
+    def grad_h(pts):
+        g = spec.grad_h(pts)
+        grads.append(g)
+        return g
+
+    bounds = _reach_bounds(spec, gauge, 0.2)
+    hw = BOX_SLACK * bounds
+    alpha = _draw_cloud(replace(spec, grad_h=grad_h), gauge, 0.1, 20_000, hw, bounds, 0.2, 7, ())[0]
+    g = np.concatenate(grads)
+    assert g.shape == (20_000, 8) and g.flags.c_contiguous
+    index_order = np.zeros(len(g))
+    for j in range(8):
+        index_order += g[:, j] * g[:, j]
+    ok = alpha != 0.0
+    assert ok.mean() > 0.9
+    want = np.sqrt(index_order) / (g @ spec.nu0)
+    assert np.array_equal(alpha[ok], want[ok])
 
 
 def test_graph_height_bracket_error(h1):
