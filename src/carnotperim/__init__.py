@@ -12,7 +12,7 @@ from .exceptions import (
     RegularityError,
     UnsupportedModelError,
 )
-from .federer import DensityReport, DensitySchedule, centered_density, default_schedule, federer_density
+from .federer import DensityReport, DensitySchedule, default_schedule, federer_density
 from .gauges import (
     AnisotropicGauge,
     DInfinityGauge,

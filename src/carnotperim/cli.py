@@ -127,9 +127,9 @@ def cmd_slice_profile(args):
 def _guard_gauge(args, gauge):
     """Refuse to run estimators on gauges that fail validation.
 
-    dinf gauges additionally need a calibration file covering their eps2
-    (the triangle inequality holds only below a group-specific constant).
-    --force acknowledges and skips both guards.
+    dinf gauges additionally need a calibration-dinf output made on their
+    group whose eps2 covers theirs (the triangle inequality holds only below
+    a group-specific constant).  --force acknowledges and skips both guards.
     """
     if args.force:
         return
@@ -141,7 +141,18 @@ def _guard_gauge(args, gauge):
             )
         with open(args.calibration, "r", encoding="utf-8") as fh:
             calib = json.load(fh)
-        eps_max = float(calib["result"]["eps2"])
+        try:
+            group, eps_max = calib["config"]["group"], float(calib["result"]["eps2"])
+        except (KeyError, TypeError, ValueError):
+            raise CarnotPerimError(
+                "%s is not a calibrate-dinf output (no config.group and result.eps2)"
+                % args.calibration
+            ) from None
+        if groups.parse_group(str(group)).name != gauge.model.name:
+            raise CarnotPerimError(
+                "%s calibrates %s, not %s; run calibrate-dinf on this group"
+                % (args.calibration, group, gauge.model.name)
+            )
         if gauge.eps2 > eps_max + 1e-12:
             raise CarnotPerimError(
                 "eps2=%g exceeds the calibrated maximum %g in %s"

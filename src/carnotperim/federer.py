@@ -145,40 +145,15 @@ def federer_density(
 
     Radii whose patch is refused (RegionError) are skipped and the report is
     flagged truncated; the run raises RegionError only when every radius is
-    refused.
-    """
-    return _density(spec, gauge, x, sched, workers, optimize=True)
-
-
-def centered_density(
-    spec: SurfaceSpec,
-    gauge: Gauge,
-    x: Point | None = None,
-    sched: DensitySchedule | None = None,
-    workers: int = 1,
-) -> Estimate:
-    """Centered blow-up density: the ratio at y = spec.x, tail-extrapolated.
-
-    Refused radii are skipped as in federer_density.
-    """
-    return _density(spec, gauge, x, sched, workers, optimize=False).centered_extrapolated
-
-
-def _density(spec, gauge, x, sched, workers, optimize):
-    """DensityReport over sched (None: the default), refused radii skipped.
-
-    x, when given, must be the surface's base point.  Without optimize only
-    the centre is scored.
+    refused.  x, when given, must be the surface's base point; the centred
+    density is the report's centered_extrapolated.
     """
     if sched is None:
         sched = default_schedule()
     if x is not None and not np.allclose(np.asarray(x, float), spec.x, atol=1e-9):
         raise ValueError("the graph parametrization is anchored at its base point")
-
-    unit = None
-    if optimize:
-        e1 = embed_v1(spec.model, spec.nu0)
-        unit = e1 / gauge.norm(e1)
+    e1 = embed_v1(spec.model, spec.nu0)
+    unit = e1 / gauge.norm(e1)
 
     def one_radius(item):
         k, t = item
@@ -234,28 +209,25 @@ def _radius_record(spec, gauge, t, sched, k, unit):
     and stderr come from a fresh cloud over the reach (1 + |s|) t of B(y, t)
     alone, on its own substream: a max over candidates never reaches the
     report, so the ratio carries no selection bias.  The centred ratio is the
-    search cloud's score at s = 0.  With unit None only the centre is scored.
+    search cloud's score at s = 0.
     """
     model = spec.model
     cloud = sample_patch(spec, gauge, t, sched.samples_per_ball, seed=sched.seed, key=(k,))
     n, failures, expansions = cloud.n_samples, cloud.failures, cloud.expansions
-    scan = SCAN if unit is not None else np.zeros(1)
-    offsets = [model.identity() if s == 0.0 else s * unit for s in scan]
+    offsets = [model.identity() if s == 0.0 else s * unit for s in SCAN]
     centres = [model.multiply(spec.x, model.dilate(t, w)) for w in offsets]
     scores = [ratio_on_cloud(cloud, gauge, y, spec) for y in centres]
     del cloud  # never held alongside the rescore cloud
-    c0, s0 = scores[len(scan) // 2]
+    c0, s0 = scores[len(SCAN) // 2]
     best, best_se = max(scores)
     pick = min((i for i, (v, _) in enumerate(scores) if v >= best - best_se),
-               key=lambda i: (abs(scan[i]), -scores[i][0]))
+               key=lambda i: (abs(SCAN[i]), -scores[i][0]))
     w, y = offsets[pick], centres[pick]
-    ratio, se = c0, s0
-    if unit is not None:
-        fresh = sample_patch(spec, gauge, t, sched.samples_per_ball, seed=sched.seed,
-                             key=(k, RESCORE_KEY), reach=(1.0 + abs(scan[pick])) * t)
-        ratio, se = ratio_on_cloud(fresh, gauge, y, spec)
-        failures += fresh.failures
-        expansions += fresh.expansions
+    fresh = sample_patch(spec, gauge, t, sched.samples_per_ball, seed=sched.seed,
+                         key=(k, RESCORE_KEY), reach=(1.0 + abs(SCAN[pick])) * t)
+    ratio, se = ratio_on_cloud(fresh, gauge, y, spec)
+    failures += fresh.failures
+    expansions += fresh.expansions
     return RadiusRecord(
         t, ratio, se, c0, s0, tuple(w.tolist()), tuple(y.tolist()), n, failures, expansions,
     )

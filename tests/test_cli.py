@@ -126,6 +126,34 @@ def test_beta_dinf_with_calibration_file(tmp_path):
     assert code == 0
 
 
+def test_dinf_guard_refuses_files_that_are_no_calibration_of_the_group(tmp_path, capsys):
+    # each ends in "error: ..." and exit 1, not a traceback, and an eps2 is
+    # accepted only from a calibration made on the same group
+    calib = tmp_path / "calib.json"
+    assert main(["calibrate-dinf", "--group", "heisenberg:1", "--eps-grid", "4,2,1",
+                 "--samples", "2000", "--out", str(calib)]) == 0
+    validated = tmp_path / "validate.json"
+    assert main(["validate-gauge", "--gauge", "koranyi", "--samples", "2000",
+                 "--out", str(validated)]) == 0
+    listed = tmp_path / "list.json"
+    listed.write_text("[2.0]\n")
+    beta_h2 = ["beta", "--group", "heisenberg:2", "--gauge", "dinf:eps2=1", "--nu", "1,0,0,0",
+               "--samples", "2000"]
+    for argv, expect in (
+        (beta_h2 + ["--calibration", str(validated)], "not a calibrate-dinf output"),
+        (beta_h2 + ["--calibration", str(listed)], "not a calibrate-dinf output"),
+        (beta_h2 + ["--calibration", str(calib)], "calibrates heisenberg:1, not heisenberg:2"),
+        (BLOWUP_SMALL + ["--group", "heisenberg:2", "--surface", "vplane:nu=1,0,0,0",
+                         "--gauge", "dinf:eps2=1", "--calibration", str(calib)],
+         "calibrates heisenberg:1"),
+    ):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and expect in err
+    assert main(["beta", "--gauge", "dinf:eps2=1", "--nu", "1,0", "--samples", "2000",
+                 "--calibration", str(calib), "--out", str(tmp_path / "b.json")]) == 0
+
+
 def test_beta_refuses_invalid_gauge(tmp_path, capsys):
     # the two-ball body is not a distance: beta refuses without --force
     argv = ["beta", "--gauge", "twoball:r1=1,z1=-0.55,r2=0.5,z2=0.45",

@@ -1,0 +1,32 @@
+"""numpy is the package's only runtime dependency: scipy, sympy and hypothesis
+are test extras, so no module under src/carnotperim may import them."""
+
+import ast
+from pathlib import Path
+
+import carnotperim
+
+TEST_ONLY = {"scipy", "sympy", "hypothesis"}
+
+
+def imported_roots(source):
+    """The top-level package of every absolute import in a module's source."""
+    roots = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+def test_no_runtime_module_imports_a_test_extra():
+    modules = sorted(Path(carnotperim.__file__).parent.rglob("*.py"))
+    assert len(modules) >= 11
+    found = {p.name: sorted(imported_roots(p.read_text()) & TEST_ONLY) for p in modules}
+    assert {name: roots for name, roots in found.items() if roots} == {}
+
+
+def test_the_scan_sees_nested_and_dotted_imports():
+    source = "def f():\n    import scipy.stats as st\n    from sympy import S\nfrom . import mc\n"
+    assert imported_roots(source) == {"scipy", "sympy"}

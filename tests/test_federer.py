@@ -4,7 +4,6 @@ import pytest
 from carnotperim import (
     DensitySchedule,
     beta,
-    centered_density,
     default_schedule,
     federer_density,
     vertical_plane,
@@ -128,28 +127,30 @@ def test_tplane_density_converges_to_beta(h1, koranyi):
     assert abs(rep.extrapolated_theta.value - b.value.value) <= tol
 
 
-def test_centered_density_function(h1, koranyi):
+def test_centered_extrapolation_matches_psi0(h1, koranyi):
     surf = coordinate_plane(h1)
-    est = centered_density(surf, koranyi, sched=small_sched(samples=40_000))
+    est = federer_density(surf, koranyi, sched=small_sched(samples=40_000)).centered_extrapolated
     assert abs(est.value - KORANYI_PSI0) <= max(0.05 * KORANYI_PSI0, 3.0 * est.stderr)
 
 
-def test_centered_density_equals_federer_centered_extrapolation(h1, koranyi):
-    # both run one density driver with one failure policy (refused radii are
-    # skipped), so the centered estimates agree exactly, also when a radius
-    # is refused: on tplane the graph-height bracket fails at t = 0.8
+def test_refused_radii_are_skipped_and_flagged(h1, koranyi):
+    # refused radii are skipped, and the centred extrapolation is taken over
+    # the radii that remain: on tplane the graph-height bracket fails at t = 0.8
     sched = small_sched(samples=20_000)
     for surf in (coordinate_plane(h1), vertical_plane(h1, [1.0, 0.0])):
         rep = federer_density(surf, koranyi, sched=sched)
         assert len(rep.records) == len(sched.radii)
         assert not rep.truncated
-        assert centered_density(surf, koranyi, sched=sched) == rep.centered_extrapolated
     surf = coordinate_plane(h1)
     sched = DensitySchedule((0.8, 0.4, 0.2, 0.1), 10_000, 7)
     rep = federer_density(surf, koranyi, sched=sched)
     assert tuple(r.t for r in rep.records) == (0.4, 0.2, 0.1)
     assert rep.truncated
-    assert centered_density(surf, koranyi, sched=sched) == rep.centered_extrapolated
+    tail = [(r.centered_ratio, r.centered_stderr) for r in rep.records]
+    w = [1.0 / (s * s) for _, s in tail]
+    assert rep.centered_extrapolated.value == pytest.approx(
+        sum(wi * v for wi, (v, _) in zip(w, tail)) / sum(w), rel=1e-12)
+    assert rep.centered_extrapolated.n_samples == 3 * 10_000
 
 
 def test_running_sup_is_suffix_max(h1, koranyi):
