@@ -233,37 +233,33 @@ class PatchCloud:
     """A reusable Monte-Carlo cloud over the graph patch at scale t.
 
     The cloud draws n_samples parameters eta uniformly in a box of the given
-    halfwidths and volume, and maps each to the graph point Phi(eta).  alpha
-    holds every sample's perimeter density; it is 0 where the sample is not
-    ok, i.e. where its height bracket shows no sign change of f or its
-    aligned derivative degenerates (heights are certified roots, or bisected
-    where the certificate failed; see _graph_heights).
+    halfwidths and volume, and maps each to the graph point Phi(eta).  A
+    sample is ok where its height bracket shows a sign change of f and its
+    aligned derivative does not degenerate (heights are certified roots, or
+    bisected where the certificate failed; see _graph_heights); every other
+    sample has density 0.
 
     Only the ok samples that a ball inside the cloud's reach can hit are
     kept: those within reach * (1 + SCORE_SLACK) of the base point, or all
     of them for a gauge that is no distance (see sample_patch).
     sorted_points holds their points column-major, sorted by the coordinate
     on the horizontal axis sort_axis, along which they spread widest, so a
-    ball can be scored on a window one coordinate at a time; order holds
-    their sample indices, which index alpha.  Membership in any ball B(y, t)
-    inside the reach can be tested against this one cloud (common random
-    numbers).
+    ball can be scored on a window one coordinate at a time; alpha holds
+    their perimeter densities in the same order.  Membership in any ball
+    B(y, t) inside the reach can be tested against this one cloud (common
+    random numbers).
     """
 
     t: float
     alpha: np.ndarray
     sorted_points: np.ndarray
-    order: np.ndarray
     sort_axis: int
+    n_samples: int
     volume: float
     halfwidths: np.ndarray
     failures: int
     expansions: int
     seed: int
-
-    @property
-    def n_samples(self) -> int:
-        return len(self.alpha)
 
 
 def _reach_bounds(spec: SurfaceSpec, gauge: Gauge, reach: float):
@@ -315,7 +311,7 @@ def sample_patch(
     x.  A gauge that is no distance (gauge.declared_distance false) gets no
     such bound, so its cloud keeps every ok sample.  Each draw is worked
     block by block (see _draw_cloud), so the checks above need no array of
-    the whole cloud but alpha and the kept rows.
+    the whole cloud, and only the kept rows' points and densities are held.
     """
     model = spec.model
     if t <= 0:
@@ -331,7 +327,7 @@ def sample_patch(
     expansions = 0
     for attempt in range(MAX_BOX_ATTEMPTS):
         hw = slack * bounds
-        alpha, kept, rows, shell, relevant, failures, degenerate = _draw_cloud(
+        kept, alpha, shell, relevant, failures, degenerate = _draw_cloud(
             spec, gauge, t, n_samples, hw, bounds, reach * (1.0 + SCORE_SLACK), seed,
             key + (attempt,))
         touched = shell > BOX_SHELL * hw  # all False when no sample is within reach
@@ -364,9 +360,9 @@ def sample_patch(
         axis = int(np.argmax([np.ptp(kept[:, j]) for j in range(model.m1)]))
     # a window holds every sample with its key, so ties may come in any order
     order = np.argsort(kept[:, axis])
-    return PatchCloud(t=t, alpha=alpha, sorted_points=_take_rows(kept, order), order=rows[order],
-                      sort_axis=axis, volume=float(np.prod(2.0 * hw)), halfwidths=hw,
-                      failures=failures, expansions=expansions, seed=seed)
+    return PatchCloud(t=t, alpha=alpha[order], sorted_points=_take_rows(kept, order),
+                      sort_axis=axis, n_samples=n_samples, volume=float(np.prod(2.0 * hw)),
+                      halfwidths=hw, failures=failures, expansions=expansions, seed=seed)
 
 
 def _draw_cloud(spec, gauge, t, n_samples, hw, bounds, reach, seed, key):
@@ -379,8 +375,7 @@ def _draw_cloud(spec, gauge, t, n_samples, hw, bounds, reach, seed, key):
     apart).  A block's heights, points and densities are found, and its
     checks folded into the draw's, before the next block starts.  Returns
 
-    - alpha: every sample's density;
-    - the points and sample indices of the kept rows;
+    - the points and the densities of the kept rows, in draw order;
     - shell: the column maxima of |eta| over the ok rows within reach;
     - relevant: the rows inside the provable bounds, over every block, and
       failures: those of them whose height bracket failed;
@@ -406,17 +401,15 @@ def _draw_cloud(spec, gauge, t, n_samples, hw, bounds, reach, seed, key):
     """
     model = spec.model
     e1 = embed_v1(model, spec.nu0)
-    alpha = np.zeros(n_samples)
     shell = np.zeros(model.n - 1)
-    kept_points, kept_rows = [], []
+    kept_points, kept_alpha = [], []
     relevant = failures = degenerate = 0
-    start = 0
     for batch in box_batches(hw, n_samples, seed, key):
         k = len(batch)
         blocks = -(-k // HEIGHT_BLOCK)
         edges = [k * i // blocks for i in range(blocks + 1)]
         for lo, hi in zip(edges, edges[1:]):
-            eta, rows = batch[lo:hi], slice(start + lo, start + hi)
+            eta = batch[lo:hi]
             base = model.multiply(spec.x, spec.embed_parameters(eta))
             phi, found = _graph_heights(spec, base, BRACKET_FACTOR * t)
             step = np.empty(base.shape, order="F")
@@ -426,7 +419,6 @@ def _draw_cloud(spec, gauge, t, n_samples, hw, bounds, reach, seed, key):
             gn = np.sqrt(_sum_sq(grads))
             x1f = grads @ spec.nu0
             good = found & (x1f > 1e-9 * np.maximum(gn, 1.0))
-            np.divide(gn, x1f, out=alpha[rows], where=good)
             near = gauge.in_ball(pts, radius=reach, center=spec.x)
             size = np.abs(eta)
             inside = np.all(size <= bounds, axis=-1)
@@ -438,9 +430,8 @@ def _draw_cloud(spec, gauge, t, n_samples, hw, bounds, reach, seed, key):
             np.maximum(shell, (size * within[:, None]).max(axis=0), out=shell)
             keep = np.flatnonzero(within if gauge.declared_distance else good)
             kept_points.append(_take_rows(pts, keep))
-            kept_rows.append(rows.start + keep)
-        start += k
-    return (alpha, np.concatenate(kept_points), np.concatenate(kept_rows), shell,
+            kept_alpha.append(gn[keep] / x1f[keep])
+    return (np.concatenate(kept_points), np.concatenate(kept_alpha), shell,
             relevant, failures, degenerate)
 
 
@@ -562,9 +553,10 @@ def ratio_on_cloud(cloud: PatchCloud, gauge: Gauge, y, spec: SurfaceSpec):
     bounded by the gauge's block radii at scale t, so only the kept samples
     in that box's window along the cloud's sort axis are translated, only
     those inside the box are tested by the gauge, and the hits are exactly
-    those of a scan of the whole cloud.  The hits' densities fill a weight
-    vector over all n_samples draws, whose mean and variance are the
-    estimate.
+    those of a scan of the whole cloud.  The estimate is the mean and
+    variance over all n_samples draws of the density at a hit and 0
+    elsewhere: the hits' densities are gathered block by block in the
+    cloud's sorted order and summed once.
     """
     model = spec.model
     t = cloud.t
@@ -574,7 +566,7 @@ def ratio_on_cloud(cloud: PatchCloud, gauge: Gauge, y, spec: SurfaceSpec):
     key = cloud.sorted_points[:, cloud.sort_axis]
     lo = np.searchsorted(key, y[cloud.sort_axis] - h, side="left")
     hi = np.searchsorted(key, y[cloud.sort_axis] + h, side="right")
-    w = np.zeros(cloud.n_samples)
+    parts = [np.zeros(0)]  # an empty window has no hits
     for start in range(lo, hi, SCORE_BLOCK):  # blocks bound the working set
         block = cloud.sorted_points[start : min(start + SCORE_BLOCK, hi)]
         rel = model.multiply(model.inverse(y), block)
@@ -583,8 +575,9 @@ def ratio_on_cloud(cloud: PatchCloud, gauge: Gauge, y, spec: SurfaceSpec):
             v = t * t * radii[1]
             in_box &= _sum_sq(model.v2(rel)) <= v * v
         rows = np.flatnonzero(in_box)
-        hits = cloud.order[start + rows[gauge.in_ball(_take_rows(rel, rows), radius=t)]]
-        w[hits] = cloud.alpha[hits]
+        hits = start + rows[gauge.in_ball(_take_rows(rel, rows), radius=t)]
+        parts.append(cloud.alpha[hits])
+    w = np.concatenate(parts)
     n = cloud.n_samples
     mean = w.sum() / n
     w *= w

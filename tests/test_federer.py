@@ -247,7 +247,7 @@ def test_search_cloud_keeps_and_translates_under_half_of_its_samples(h1, koranyi
     federer_density(coordinate_plane(h1), koranyi, sched=DensitySchedule((0.1,), n, 7))
     search = per_call[: len(SCAN)]
     assert len(per_call) == len(SCAN) + 1 and len({id(c) for c, _ in search}) == 1
-    assert len(search[0][0].order) <= 0.45 * n
+    assert len(search[0][0].alpha) <= 0.45 * n
     assert 0 < sum(rows for _, rows in search) <= 0.25 * len(SCAN) * n
 
 

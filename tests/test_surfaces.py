@@ -417,31 +417,47 @@ def test_take_rows_is_the_row_gather():
         assert np.array_equal(got.view(np.int64), pts[rows].view(np.int64))
 
 
-def test_density_adds_the_gradient_squares_in_index_order_on_h4():
+def test_density_adds_the_gradient_squares_in_index_order_on_h4(monkeypatch):
     # from 8 entries np.linalg.norm adds a C-ordered row in another order;
-    # |grad_H f| adds the squares in index order in every layout
+    # |grad_H f| adds the squares in index order in every layout.  The
+    # draw's densities are those of its kept rows, the ok rows within reach;
+    # a wide reach keeps nearly every ok row
+    import carnotperim.surfaces as surfaces_module
+
     model = heisenberg(4)
     spec = parse_surface(model, "tplane")
     gauge = parse_gauge(model, "koranyi")
-    grads = []
+    grads, found, near = [], [], []
+    real_heights = surfaces_module._graph_heights
 
     def grad_h(pts):
-        g = spec.grad_h(pts)
-        grads.append(g)
-        return g
+        grads.append(spec.grad_h(pts))
+        return grads[-1]
 
+    def heights(*args):
+        phi, bracketed = real_heights(*args)
+        found.append(bracketed)
+        return phi, bracketed
+
+    def in_ball(pts, radius=1.0, center=None):
+        near.append(type(gauge).in_ball(gauge, pts, radius, center))
+        return near[-1]
+
+    monkeypatch.setattr(surfaces_module, "_graph_heights", heights)
+    gauge.in_ball = in_ball
     bounds = _reach_bounds(spec, gauge, 0.2)
     hw = BOX_SLACK * bounds
-    alpha = _draw_cloud(replace(spec, grad_h=grad_h), gauge, 0.1, 20_000, hw, bounds, 0.2, 7, ())[0]
+    alpha = _draw_cloud(replace(spec, grad_h=grad_h), gauge, 0.1, 20_000, hw, bounds, 1.0, 7, ())[1]
     g = np.concatenate(grads)
     assert g.shape == (20_000, 8) and g.flags.c_contiguous
     index_order = np.zeros(len(g))
     for j in range(8):
         index_order += g[:, j] * g[:, j]
-    ok = alpha != 0.0
-    assert ok.mean() > 0.9
-    want = np.sqrt(index_order) / (g @ spec.nu0)
-    assert np.array_equal(alpha[ok], want[ok])
+    x1f = g @ spec.nu0
+    kept = np.concatenate(found) & (x1f > 1e-9 * np.maximum(np.sqrt(index_order), 1.0))
+    kept &= np.concatenate(near)
+    assert kept.mean() > 0.9
+    assert np.array_equal(alpha, (np.sqrt(index_order) / x1f)[kept])
 
 
 def test_graph_height_bracket_error(h1):
@@ -653,14 +669,28 @@ def whole_cloud(spec, gauge, t, n_samples, seed=7, key=(), reach=None):
     return draw, failures, attempt, refused
 
 
-def full_scan_ratio(draw, cloud, gauge, y, spec):
+def sorted_kept_rows(draw, cloud, gauge, spec, reach):
+    """The sample indices of a cloud's kept rows, in its sorted order: the ok
+    samples of the whole draw within reach (1 + SCORE_SLACK) of the base
+    point (every ok sample for twoball, no distance), sorted by the same
+    argsort of their sort-axis coordinates in draw order."""
+    _, pts, _, ok, _ = draw
+    kept = ok
+    if gauge.declared_distance:
+        kept = ok & gauge.in_ball(pts, radius=reach * (1.0 + SCORE_SLACK), center=spec.x)
+    kept = np.flatnonzero(kept)
+    return kept[np.argsort(pts[kept, cloud.sort_axis])]
+
+
+def full_scan_ratio(draw, order, cloud, gauge, y, spec):
     """ratio_on_cloud's statistic with every ok sample of the whole draw
-    tested."""
+    tested: the hits' densities summed in the cloud's sorted order."""
     _, pts, alpha, ok, _ = draw
     t = cloud.t
     hits = gauge.in_ball(pts, radius=t, center=y) & ok
-    w = np.where(hits, alpha, 0.0)
-    n = len(w)
+    w = alpha[order[hits[order]]]
+    assert hits.sum() == len(w)  # every hit is kept
+    n = cloud.n_samples
     mean = w.sum() / n
     var = max(float((w * w).sum()) - n * mean * mean, 0.0) / max(n - 1, 1)
     scale = cloud.volume / t ** (spec.model.Q - 1)
@@ -702,7 +732,8 @@ def test_ratio_on_cloud_matches_full_scan(request, group, gauge_spec, surface, m
             centres.append(model.multiply(spec.x, model.dilate(t, w)))
         scores = [ratio_on_cloud(cloud, gauge, y, spec) for y in centres]
         draw = whole_draw_of(cloud, spec)
-        assert scores == [full_scan_ratio(draw, cloud, gauge, y, spec) for y in centres]
+        order = sorted_kept_rows(draw, cloud, gauge, spec, 2.0 * t)
+        assert scores == [full_scan_ratio(draw, order, cloud, gauge, y, spec) for y in centres]
         assert scores[0][0] > 0.0
 
 
@@ -748,10 +779,11 @@ def test_pruned_cloud_is_the_whole_cloud_restricted(request, group, gauge_spec, 
         kept = np.flatnonzero(ok & gauge.in_ball(pts, radius=reach * t * (1.0 + SCORE_SLACK),
                                                  center=spec.x))
         assert 0 < len(kept) < 0.75 * len(alpha)
-    assert np.array_equal(np.sort(cloud.order), kept)
-    assert np.array_equal(cloud.sorted_points, pts[cloud.order])
+    order = kept[np.argsort(pts[kept, cloud.sort_axis])]
+    assert np.array_equal(cloud.sorted_points, pts[order])
     assert np.all(np.diff(cloud.sorted_points[:, cloud.sort_axis]) >= 0.0)
-    assert np.array_equal(cloud.alpha, alpha)
+    assert np.array_equal(cloud.alpha, alpha[order])
+    assert cloud.alpha.flags.c_contiguous and np.all(cloud.alpha > 0.0)
 
 
 @pytest.mark.parametrize("over", [0, 1])
