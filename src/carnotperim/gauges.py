@@ -388,15 +388,14 @@ def star_norm(model: GroupModel, oracle, p: Point, tol: float = _STAR_TOL, near=
 
 def _star_norm_active(model, oracle, pts, tol, near=None):
     k = pts.shape[0]
-    # per call, not per step: a dilated block with contiguous columns and
-    # the second layer's exponents (membership does not depend on layout)
+    # per call, not per step: a dilated block with contiguous columns
+    # (membership does not depend on layout)
     pts_t = pts.T
     dilated = np.empty(pts.shape[::-1]).T
-    twos = np.full(k, 2.0)
-    every_row = _dilation_operands(model, pts_t, dilated, twos)
+    every_row = _dilation_operands(model, pts_t, dilated)
 
     def inside(r, rows=None):
-        ops = every_row if rows is None else _dilation_operands(model, pts_t[:, rows], dilated, twos)
+        ops = every_row if rows is None else _dilation_operands(model, pts_t[:, rows], dilated)
         return np.asarray(oracle(_dilate_inv(r, *ops)), dtype=bool)
 
     if near is not None:
@@ -454,28 +453,26 @@ def _star_norm_active(model, oracle, pts, tol, near=None):
     return r
 
 
-def _dilation_operands(model, pts_t, out, twos):
+def _dilation_operands(model, pts_t, out):
     """The operands of _dilate_inv for the points whose coordinates are the
     rows of pts_t, dilated into the first rows of the block out."""
     (n, k), m1 = pts_t.shape, model.m1
     out = out[:k]
     second = [(pts_t[j], out[:, j]) for j in range(m1, n)]
-    return out, pts_t[:m1], out.T[:m1], second, twos[:k]
+    return out, pts_t[:m1], out.T[:m1], second
 
 
-def _dilate_inv(r, out, p1, o1, second, twos):
+def _dilate_inv(r, out, p1, o1, second):
     """delta_{1/r} of the points, one layer at a time; returns out.
 
-    Bitwise equal to pts * (1/r)[:, None] ** model.dilation_weights: the
-    first layer is scaled by s = 1/r itself, which equals pow(s, 1), and the
-    second by np.power(s, twos), which rounds like the broadcast pow (s * s
-    does not, in about 5% of rows).  The broadcast pow runs a loop of n
-    entries once per row; here the first layer is one loop over the rows
-    and each second-layer column another.
+    The first layer is scaled by s = 1/r and the second by s * s, one
+    correctly rounded multiply (the pow s ** 2 rounds apart from it in
+    about 5% of rows).  The first layer is one loop over the rows and each
+    second-layer column another.
     """
     s = np.reciprocal(r)
     np.multiply(p1, s, out=o1)
-    s = np.power(s, twos)
+    s *= s
     for p, o in second:
         np.multiply(p, s, out=o)
     return out

@@ -306,9 +306,10 @@ def test_norm_near_keeps_the_monotone_ray_guard(h1):
             gauge.norm_near(pts, [near, 0.0])
 
 
-def broadcast_dilate_inv(model, r, pts):
-    """delta_{1/r} as star_norm computed it before it dilated per layer."""
-    return pts * (1.0 / r)[..., None] ** model.dilation_weights
+def squared_dilate_inv(model, r, pts):
+    """delta_{1/r} by rows: p1 * s and p2 * (s * s), s = 1/r."""
+    s = 1.0 / r[:, None]
+    return np.concatenate([model.v1(pts) * s, model.v2(pts) * (s * s)], axis=1)
 
 
 def bisection_radii(rng):
@@ -331,20 +332,20 @@ def bisection_radii(rng):
 
 
 @pytest.mark.parametrize("group", ["h1", "h2"])
-def test_dilate_inv_is_bitwise_the_broadcast_pow(request, group):
+def test_dilate_inv_scales_the_second_layer_by_the_squared_reciprocal(request, group):
     model = request.getfixturevalue(group)
     rng = np.random.default_rng(11)
     r = bisection_radii(rng)
     pts = random_points(model, rng, len(r))
-    pts_t, out, twos = pts.T.copy(), np.empty_like(pts), np.full(len(r), 2.0)
-    got = _dilate_inv(r, *_dilation_operands(model, pts_t, out, twos))
+    pts_t, out = pts.T.copy(), np.empty_like(pts)
+    got = _dilate_inv(r, *_dilation_operands(model, pts_t, out))
     assert got.flags.c_contiguous
-    assert np.array_equal(got.view(np.int64), broadcast_dilate_inv(model, r, pts).view(np.int64))
+    assert np.array_equal(got.view(np.int64), squared_dilate_inv(model, r, pts).view(np.int64))
     # a subset of the rows goes to the front of the same buffers
     rows = rng.random(len(r)) < 0.3
-    got = _dilate_inv(r[rows], *_dilation_operands(model, pts_t[:, rows], out, twos))
+    got = _dilate_inv(r[rows], *_dilation_operands(model, pts_t[:, rows], out))
     assert got.flags.c_contiguous and len(got) == rows.sum()
-    want = broadcast_dilate_inv(model, r[rows], pts[rows])
+    want = squared_dilate_inv(model, r[rows], pts[rows])
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
