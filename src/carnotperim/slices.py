@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gauges import Gauge
-from .groups import direction, vertical_complement
+from .groups import direction, frame_points, vertical_complement
 from .mc import Estimate, hit_or_miss, ordered_map, substream
 
 DEFAULT_GRID = 41
@@ -67,25 +67,13 @@ def _slice_points(gauge, nu, perp, t, coords):
     """Embed hyperplane coordinates as ambient points t*nu + s + u.
 
     The points come back column-major, as the .T view of an (n, k) array,
-    so every coordinate is one contiguous run for the gauge.
-
-    On a first layer of dimension 2, perp has one row and the matmul is one
-    product per entry, which a broadcast multiply gives without a BLAS call.
-    The matmul adds that product to +0.0, which turns a -0.0 product into
-    +0.0; adding 0.0 to the offset t*nu instead makes the sum agree in
-    every case, so the points keep the matmul's bits.  Wider first layers
-    keep the matmul, whose summation order the seeded outputs depend on.
+    so every coordinate is one contiguous run for the gauge.  The first
+    layer is groups.frame_points of perp, added in index order.
     """
     model = gauge.model
     cols = coords.T
     pts = np.empty((model.n, coords.shape[0]))
-    h = pts[: model.m1]
-    if model.m1 == 2:
-        np.multiply(perp.T, cols[:1], out=h)
-        h += (t * nu + 0.0)[:, None]
-    else:
-        np.matmul(perp.T, cols[: model.m1 - 1], out=h)
-        h += (t * nu)[:, None]
+    frame_points(perp, cols, t * nu, pts[: model.m1])
     if model.m2:
         pts[model.m1 :] = cols[model.m1 - 1 :]
     return pts.T

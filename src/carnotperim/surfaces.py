@@ -32,7 +32,7 @@ import numpy as np
 
 from .exceptions import BracketError, ConformanceError, RegionError, RegularityError
 from .gauges import Gauge, _certified_roots, _halve_bracket, _sum_sq
-from .groups import GroupModel, embed_v1, vertical_complement
+from .groups import GroupModel, embed_v1, frame_points, vertical_complement
 from .mc import Estimate, box_batches, substream
 
 FD_STEP = 1e-5
@@ -85,23 +85,14 @@ class SurfaceSpec:
         return np.asarray(self.grad_h(self.model.conform(pts)), dtype=float)
 
     def embed_parameters(self, coords):
-        """Embed (m1-1 + m2) parameter coordinates as points of N, column-major.
-
-        On a first layer of dimension 2 the frame has one row, and a
-        broadcast multiply gives the matmul's products without a BLAS call;
-        adding 0.0 turns a -0.0 product into +0.0 as the matmul's sum does,
-        so the points keep its bits (as in slices._slice_points).
-        """
+        """Embed (k, m1-1 + m2) parameter coordinates as k points of N,
+        column-major; the first layer is groups.frame_points of the frame,
+        added in index order (as in slices._slice_points)."""
         model = self.model
-        out = np.empty(coords.shape[:-1] + (model.n,), order="F")
-        h = out[..., : model.m1]
-        if model.m1 == 2:
-            np.multiply(coords[..., :1], self.frame_perp[0], out=h)
-            h += 0.0
-        else:
-            h[...] = coords[..., : model.m1 - 1] @ self.frame_perp
+        out = np.empty((len(coords), model.n), order="F")
+        frame_points(self.frame_perp, coords.T, np.zeros(model.m1), out.T[: model.m1])
         if model.m2:
-            out[..., model.m1 :] = coords[..., model.m1 - 1 :]
+            out[:, model.m1 :] = coords[:, model.m1 - 1 :]
         return out
 
 

@@ -12,7 +12,7 @@ from carnotperim import (
 )
 from carnotperim.gauges import parse_gauge, sample_in_ball
 from carnotperim.mc import joint_stderr, substream
-from carnotperim.groups import direction, vertical_complement
+from carnotperim.groups import direction, parse_group, vertical_complement
 from carnotperim.slices import _slice_points, slice_area_at_center
 
 from conftest import KORANYI_PSI0
@@ -264,3 +264,41 @@ def test_h1_slice_points_keep_the_matmul_bits(koranyi, nu, t):
     ref = _matmul_slice_points(model, nu, perp, t, coords)
     assert got.flags.f_contiguous
     assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def index_order_first_layer(frame, coords, offset):
+    """offset + 0.0 plus each frame row's product, added one at a time."""
+    h = np.broadcast_to((offset + 0.0)[:, None], (len(offset), len(coords))).copy()
+    for j in range(len(frame)):
+        h = h + frame[j][:, None] * coords[:, j]
+    return h.T
+
+
+@pytest.mark.parametrize("group, nu", [
+    ("h2", [0.3, -1.0, 0.5, 0.2]), ("h2", [1.0, 1.0, 0.0, 0.0]), ("h2", [0.0, 0.0, -1.0, 0.0]),
+    ("h1", [0.6, -0.8]),
+])
+@pytest.mark.parametrize("t", [0.0, 0.3, -0.3, -0.0])
+def test_slice_points_are_the_index_order_sum_in_both_layouts(request, group, nu, t):
+    model = request.getfixturevalue(group)
+    gauge = parse_gauge(model, "koranyi")
+    nu = direction(model, nu)
+    perp = vertical_complement(model, nu)
+    coords = substream(4).uniform(-1.0, 1.0, (5000, model.n - 1))
+    coords[:3, : model.m1 - 1] = -0.0  # signed zero products
+    coords[1, 0] = 0.0
+    want = index_order_first_layer(perp, coords, t * nu)
+    for layout in (np.ascontiguousarray(coords), np.asfortranarray(coords)):
+        got = _slice_points(gauge, nu, perp, t, layout)
+        assert got.flags.f_contiguous
+        assert np.array_equal(got[:, : model.m1].view(np.int64), want.view(np.int64))
+        assert np.array_equal(got[:, model.m1 :], coords[:, model.m1 - 1 :])
+
+
+def test_slice_points_on_a_one_dimensional_first_layer():
+    # R^1 has no nu-perp: every slice point is t nu
+    model = parse_group("abelian:1")
+    gauge = parse_gauge(model, "euclidean")
+    nu = direction(model, [-1.0])
+    got = _slice_points(gauge, nu, vertical_complement(model, nu), 0.25, np.empty((7, 0)))
+    assert np.array_equal(got, np.full((7, 1), -0.25))

@@ -407,6 +407,23 @@ def test_embed_parameters_on_h1_is_the_matmul_bit_for_bit(h1, surface):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+@pytest.mark.parametrize("surface", ["tplane", "vplane:nu=0.3,-1,0.5,0.2", "vplane:nu=1,1,0,0",
+                                     "vplane:nu=0,0,-1,0"])
+def test_embed_parameters_on_h2_is_the_index_order_sum_in_both_layouts(h2, surface):
+    spec = parse_surface(h2, surface)
+    coords = np.random.default_rng(44).uniform(-1.0, 1.0, size=(5000, h2.n - 1))
+    coords[:3, : h2.m1 - 1] = -0.0  # signed zero products
+    coords[1, 0] = 0.0
+    want = np.zeros((len(coords), h2.m1))
+    for j in range(h2.m1 - 1):
+        want = want + coords[:, j : j + 1] * spec.frame_perp[j]
+    for layout in (np.ascontiguousarray(coords), np.asfortranarray(coords)):
+        got = spec.embed_parameters(layout)
+        assert got.flags.f_contiguous
+        assert np.array_equal(got[:, : h2.m1].view(np.int64), want.view(np.int64))
+        assert np.array_equal(got[:, h2.m1 :], coords[:, h2.m1 - 1 :])
+
+
 def test_take_rows_is_the_row_gather():
     pts = np.asfortranarray(np.random.default_rng(42).standard_normal((3000, 5)))
     rng = np.random.default_rng(43)
