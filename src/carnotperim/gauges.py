@@ -466,9 +466,8 @@ def _dilate_inv(r, out, p1, o1, second):
     """delta_{1/r} of the points, one layer at a time; returns out.
 
     The first layer is scaled by s = 1/r and the second by s * s, one
-    correctly rounded multiply (the pow s ** 2 rounds apart from it in
-    about 5% of rows).  The first layer is one loop over the rows and each
-    second-layer column another.
+    correctly rounded multiply.  The first layer is one loop over the rows
+    and each second-layer column another.
     """
     s = np.reciprocal(r)
     np.multiply(p1, s, out=o1)

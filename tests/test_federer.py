@@ -146,11 +146,13 @@ def test_refused_radii_are_skipped_and_flagged(h1, koranyi):
     rep = federer_density(surf, koranyi, sched=sched)
     assert tuple(r.t for r in rep.records) == (0.4, 0.2, 0.1)
     assert rep.truncated
+    # the inverse-variance mean of the three centred ratios that remain
     tail = [(r.centered_ratio, r.centered_stderr) for r in rep.records]
     w = [1.0 / (s * s) for _, s in tail]
-    assert rep.centered_extrapolated.value == pytest.approx(
-        sum(wi * v for wi, (v, _) in zip(w, tail)) / sum(w), rel=1e-12)
-    assert rep.centered_extrapolated.n_samples == 3 * 10_000
+    centred = rep.centered_extrapolated
+    assert centred.value == sum(wi * v for wi, (v, _) in zip(w, tail)) / sum(w)
+    assert centred.stderr == np.sqrt(1.0 / sum(w))
+    assert centred.n_samples == 3 * 10_000
 
 
 def test_running_sup_is_suffix_max(h1, koranyi):
