@@ -226,13 +226,17 @@ def frame_points(frame, coord_rows, offset, out):
     """First-layer points offset + sum_j coord_rows[j] * frame[j], written
     into out as (m1, k) rows; returns out.
 
-    The offset comes first and each frame row's broadcast product is added
-    to it in index order: no BLAS call, and the same bits in every layout
-    and for every first-layer width.  Adding 0.0 to the offset turns a -0.0
-    into +0.0, so no coordinate of a point is -0.0.
+    The sum is (off + p_0) + p_1 + ... in index order, with off = offset +
+    0.0 and p_j the broadcast product of frame row j: no BLAS call, and the
+    same bits in every layout and for every first-layer width.  Adding 0.0
+    turns a -0.0 offset into +0.0, so no coordinate of a point is -0.0.
     """
-    first = frame[0][:, None] * coord_rows[0] if len(frame) else 0.0
-    np.add((offset + 0.0)[:, None], first, out=out)
+    off = (offset + 0.0)[:, None]
+    if not len(frame):  # a first layer of dimension 1 has no kernel directions
+        out[...] = off
+        return out
+    np.multiply(frame[0][:, None], coord_rows[0], out=out)  # no temporary on H^1
+    out += off  # p_0 + off rounds as off + p_0
     for j in range(1, len(frame)):  # one product alive at a time
         out += frame[j][:, None] * coord_rows[j]
     return out
