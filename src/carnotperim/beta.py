@@ -19,7 +19,7 @@ import numpy as np
 from .exceptions import GaugeDefinitionError
 from .gauges import Gauge, convexity_sample
 from .groups import direction
-from .mc import Estimate, joint_stderr, ordered_map, substream
+from .mc import Estimate, joint_stderr, substream
 from .slices import DEFAULT_GRID, DEFAULT_SAMPLES, slice_area, slice_profile
 
 
@@ -53,7 +53,6 @@ def beta(
     grid_size: int = DEFAULT_GRID,
     seed: int = 7,
     key: tuple = (),
-    workers: int = 1,
     refine_evals: int = 24,
     convexity_samples: int = 20000,
 ) -> BetaResult:
@@ -71,10 +70,10 @@ def beta(
     if gauge.declared_convex:
         nviol, _, _ = convexity_sample(gauge, convexity_samples, seed=_mix(seed, key, 101))
         if nviol == 0:
-            est = slice_area(gauge, nu, 0.0, n_samples, seed=seed, key=key + (0,), workers=workers)
+            est = slice_area(gauge, nu, 0.0, n_samples, seed=seed, key=key + (0,))
             return _result(model, nu, est, 0.0, "convex_fast_path")
 
-    profile = slice_profile(gauge, nu, grid_size, n_samples, seed=_mix(seed, key, 202), workers=workers)
+    profile = slice_profile(gauge, nu, grid_size, n_samples, seed=_mix(seed, key, 202))
     vals = profile.values()
     errs = profile.stderrs()
     order = sorted(range(len(vals)), key=lambda i: (-vals[i], abs(profile.grid[i])))
@@ -89,7 +88,7 @@ def beta(
         t_best = _grid_halving(gauge, nu, lo, hi, n_samples, _mix(seed, key, 404), rounds=3)
 
     # final value from a fresh substream to avoid selection bias
-    est = slice_area(gauge, nu, t_best, n_samples, seed=seed, key=key + (1,), workers=workers)
+    est = slice_area(gauge, nu, t_best, n_samples, seed=seed, key=key + (1,))
     center = profile.areas[len(vals) // 2]
     if est.value < center.value - 3.0 * joint_stderr(est, center):
         # the refined point must dominate the central slice; fall back to it
@@ -186,7 +185,6 @@ def beta_constancy(
     n_directions: int = 8,
     n_samples: int = DEFAULT_SAMPLES,
     seed: int = 7,
-    workers: int = 1,
 ) -> BetaConstancy:
     """beta for uniformly random unit directions in V1; reports whether all
     pairwise deviations sit within 3 joint standard errors."""
@@ -200,11 +198,7 @@ def beta_constancy(
     if np.any(norms == 0):
         raise GaugeDefinitionError("degenerate direction draw")
     dirs /= norms[:, None]
-
-    def one_direction(d):
-        return beta(gauge, dirs[d], n_samples=n_samples, seed=seed, key=(d,))
-
-    results = ordered_map(one_direction, list(range(n_directions)), workers)
+    results = [beta(gauge, u, n_samples=n_samples, seed=seed, key=(d,)) for d, u in enumerate(dirs)]
     max_dev = tol = 0.0
     ok = True  # flat iff every pair individually passes its own joint allowance
     for i, a in enumerate(results):

@@ -38,8 +38,10 @@ def _add_common(p, samples_default, fmt):
     p.add_argument("--seed", type=int, default=_env_default("seed", 7, int))
     p.add_argument("--samples", type=float, default=_env_default("samples", samples_default, float),
                    help="Monte-Carlo samples per estimate")
-    p.add_argument("--workers", type=int, default=_env_default("workers", 1, int),
-                   help="concurrency cap; results are identical for any value")
+    # accepted and ignored only because the benchmark scripts under bench/
+    # still pass it
+    p.add_argument("--workers", dest="ignored", type=int, default=argparse.SUPPRESS,
+                   help=argparse.SUPPRESS)
     p.add_argument("--out", default=None, help="output file (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default=fmt)
 
@@ -105,10 +107,8 @@ def cmd_slice_profile(args):
     model = groups.parse_group(args.group)
     gauge = gauges.parse_gauge(model, args.gauge)
     nu = _parse_nu(args.nu, model)
-    profile = slices.slice_profile(
-        gauge, nu, grid_size=args.grid, n_samples=int(args.samples),
-        seed=args.seed, workers=args.workers,
-    )
+    profile = slices.slice_profile(gauge, nu, grid_size=args.grid,
+                                   n_samples=int(args.samples), seed=args.seed)
     meta = _resolved_config(args)
     meta["support"] = profile.support
     rows = [
@@ -173,10 +173,7 @@ def cmd_beta(args):
     gauge = gauges.parse_gauge(model, args.gauge)
     _guard_gauge(args, gauge)
     nu = _parse_nu(args.nu, model)
-    result = beta(
-        gauge, nu, n_samples=int(args.samples), grid_size=args.grid,
-        seed=args.seed, workers=args.workers,
-    )
+    result = beta(gauge, nu, n_samples=int(args.samples), grid_size=args.grid, seed=args.seed)
     meta = _resolved_config(args)
     rows = [
         (
@@ -193,10 +190,8 @@ def cmd_beta_constancy(args):
     model = groups.parse_group(args.group)
     gauge = gauges.parse_gauge(model, args.gauge)
     _guard_gauge(args, gauge)
-    report = beta_constancy(
-        gauge, n_directions=args.directions, n_samples=int(args.samples),
-        seed=args.seed, workers=args.workers,
-    )
+    report = beta_constancy(gauge, n_directions=args.directions,
+                            n_samples=int(args.samples), seed=args.seed)
     meta = _resolved_config(args)
     meta["max_pairwise_dev"] = report.max_pairwise_dev
     meta["constant_within_tolerance"] = report.constant_within_tolerance
@@ -217,7 +212,7 @@ def cmd_blowup(args):
     t0, halvings = _parse_radii(args.radii)
     sched = federer.default_schedule(t0, halvings, samples_per_ball=int(args.samples),
                                      seed=args.seed)
-    report = federer.federer_density(spec, gauge, sched=sched, workers=args.workers)
+    report = federer.federer_density(spec, gauge, sched=sched)
     meta = _resolved_config(args)
     meta["extrapolated_theta"] = report.extrapolated_theta.value
     meta["extrapolated_stderr"] = report.extrapolated_theta.stderr
@@ -238,19 +233,18 @@ def cmd_verify(args):
     if args.suite == "all":
         reports = verify.run_all(model, gauge, seed=args.seed,
                                  samples=int(min(args.samples, 20000)),
-                                 profile_samples=int(args.samples), workers=args.workers)
+                                 profile_samples=int(args.samples))
     elif args.suite == "convexity":
         reports = [verify.convexity_check(gauge, int(args.samples), args.seed)]
     elif args.suite == "symmetry":
         reports = [verify.symmetry_check(gauge, samples=int(args.samples), seed=args.seed)]
     elif args.suite == "busemann":
-        reports = [verify.busemann_suite(gauge, nu, n_samples=int(args.samples),
-                                         seed=args.seed, workers=args.workers)]
+        reports = [verify.busemann_suite(gauge, nu, n_samples=int(args.samples), seed=args.seed)]
     else:  # blowup
         plane = surfaces.vertical_plane(model, nu)
         sched = federer.default_schedule(t0=0.4, halvings=3, samples_per_ball=int(args.samples), seed=args.seed)
         reports = [verify.blowup_suite([plane], gauge, sched=sched, seed=args.seed,
-                                       beta_samples=int(args.samples), workers=args.workers)]
+                                       beta_samples=int(args.samples))]
 
     meta = _resolved_config(args)
     lines = []
@@ -327,8 +321,8 @@ def build_parser():
     p.add_argument("--surface", default="tplane", help="vplane:nu=... | tplane | expr:<formula>")
     p.add_argument("--point", default=None, help="base point, comma separated")
     p.add_argument("--radii", default=_env_default("radii", "0.4:6", str), help="t0:halvings")
-    # the compass search's budget flags are accepted and ignored, so older
-    # scripts still run; the normal-line scan has no knob
+    # the retired compass search's budget flags, accepted and ignored only
+    # because the benchmark's tests under bench/ still pass them
     for flag in ("--multistart", "--local-steps"):
         p.add_argument(flag, dest="ignored", type=int, default=argparse.SUPPRESS,
                        help=argparse.SUPPRESS)

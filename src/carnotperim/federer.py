@@ -39,7 +39,7 @@ import numpy as np
 from .exceptions import RegionError
 from .gauges import Gauge
 from .groups import Point, embed_v1
-from .mc import Estimate, ordered_map
+from .mc import Estimate
 from .surfaces import SurfaceSpec, ratio_on_cloud, sample_patch
 
 SCAN = np.linspace(-1.0, 1.0, 21)  # offsets s on the normal line; SCAN[10] == 0
@@ -139,7 +139,6 @@ def federer_density(
     gauge: Gauge,
     x: Point | None = None,
     sched: DensitySchedule | None = None,
-    workers: int = 1,
 ) -> DensityReport:
     """Off-centered blow-up density of the surface perimeter at spec.x.
 
@@ -155,15 +154,12 @@ def federer_density(
     e1 = embed_v1(spec.model, spec.nu0)
     unit = e1 / gauge.norm(e1)
 
-    def one_radius(item):
-        k, t = item
+    records = []
+    for k, t in enumerate(sched.radii):
         try:
-            return _radius_record(spec, gauge, t, sched, k, unit)
+            records.append(_radius_record(spec, gauge, t, sched, k, unit))
         except RegionError:
-            return None
-
-    raw = ordered_map(one_radius, list(enumerate(sched.radii)), workers)
-    records = [r for r in raw if r is not None]
+            pass
     if not records:
         raise RegionError("no radius in the schedule produced a usable region")
 
@@ -193,7 +189,7 @@ def federer_density(
         extrap,
         centered_extrap,
         converged,
-        len(records) < len(raw),
+        len(records) < len(sched.radii),
         sched.seed,
     )
 

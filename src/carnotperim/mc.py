@@ -1,8 +1,8 @@
-"""Monte-Carlo plumbing: deterministic substreams, estimates, batched maps.
+"""Monte-Carlo plumbing: deterministic substreams, estimates, batched draws.
 
 Every stochastic routine in the package draws from a generator keyed by
 (seed, *integer key path).  Results are therefore bit-identical for a given
-seed regardless of worker count or scheduling.
+seed.
 
 The package's sampling kernel is ``box_batches``, uniform draws in an axis
 box in batches of BATCH rows, and ``hit_or_miss``, which integrates an
@@ -18,7 +18,6 @@ Koranyi and starball on H^2 (see README, "Notes on method").
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,14 +68,6 @@ def _batch_sizes(n_samples: int):
     return sizes
 
 
-def ordered_map(fn, args_list, workers: int = 1):
-    """Map fn over args_list preserving order; optional thread pool."""
-    if workers <= 1 or len(args_list) <= 1:
-        return [fn(a) for a in args_list]
-    with ThreadPoolExecutor(max_workers=int(workers)) as pool:
-        return list(pool.map(fn, args_list))
-
-
 def _box_columns(rng, hw, raw, cols):
     """Fill cols, a (d, k) array, with k uniform points of the box
     prod [-hw_i, hw_i], one point per column; raw is k*d scratch.
@@ -106,16 +97,13 @@ def box_batches(hw, n_samples: int, seed: int, key: tuple = ()):
         yield _box_columns(substream(seed, *key, b), hw, np.empty(cols.size), cols).T
 
 
-def hit_or_miss(
-    hw, inside, n_samples: int, seed: int, key: tuple = (), workers: int = 1
-) -> Estimate:
+def hit_or_miss(hw, inside, n_samples: int, seed: int, key: tuple = ()) -> Estimate:
     """Volume of {inside} within the box prod [-hw_i, hw_i], by hit-or-miss.
 
     inside maps a column-major (k, len(hw)) block of at most BLOCK points to
     k booleans.  Each batch of box_batches is drawn and tested block by block
-    from its own substream, so the points are those of box_batches.  Batches
-    may run on a thread pool, each with its own buffers; hit counts are
-    reduced in batch order, so the result does not depend on scheduling.
+    from its own substream, so the points are those of box_batches; one
+    pair of block buffers serves every batch.
     """
     sizes = _batch_sizes(n_samples)
     n = sum(sizes)
@@ -123,20 +111,16 @@ def hit_or_miss(
         return Estimate(0.0, 0.0, 0, seed)
     hw = np.asarray(hw, dtype=float)
     d = len(hw)
-
-    def count(item):
-        b, size = item
+    raw = np.empty(min(n, BLOCK) * d)
+    cols = np.empty(raw.size)
+    hits = 0
+    for b, size in enumerate(sizes):
         rng = substream(seed, *key, b)
-        raw = np.empty(min(size, BLOCK) * d)
-        cols = np.empty(raw.size)
-        hits = 0
         for start in range(0, size, BLOCK):
             k = min(BLOCK, size - start)
             block = _box_columns(rng, hw, raw[: k * d], cols[: k * d].reshape(d, k))
             hits += int(np.count_nonzero(inside(block.T)))
-        return hits
-
-    hits = float(sum(ordered_map(count, list(enumerate(sizes)), workers)))
+    hits = float(hits)
     volume = float(np.prod(2.0 * hw))
     # indicator weights: sum w^2 = sum w = hits
     var = max(hits - hits * hits / n, 0.0) / (n - 1) if n > 1 else 0.0

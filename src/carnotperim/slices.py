@@ -7,8 +7,7 @@ hyperplane (nu-perp in V1) + V2, and
 
 Areas are estimated by hit-or-miss sampling inside an axis box of the slice;
 boxes come from the gauge block radii, so over-coverage only costs samples,
-never correctness.  Estimation is deterministic given (inputs, seed) and is
-embarrassingly parallel across grid points and batches.
+never correctness.  Estimation is deterministic given (inputs, seed).
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import numpy as np
 
 from .gauges import Gauge
 from .groups import direction, frame_points, vertical_complement
-from .mc import Estimate, hit_or_miss, ordered_map, substream
+from .mc import Estimate, hit_or_miss, substream
 
 DEFAULT_GRID = 41
 DEFAULT_SAMPLES = 100_000
@@ -86,12 +85,11 @@ def slice_area(
     n_samples: int = DEFAULT_SAMPLES,
     seed: int = 7,
     key: tuple = (),
-    workers: int = 1,
 ) -> Estimate:
     """Hit-or-miss estimate of psi(t) for the given direction.
 
-    Batches are keyed by (seed, *key, batch index), so the result does not
-    depend on worker scheduling.  An empty bounding box yields Estimate(0, 0).
+    Batches are keyed by (seed, *key, batch index).  An empty bounding box
+    yields Estimate(0, 0).
     """
     n_samples = int(n_samples)
     if n_samples < 1000:
@@ -106,7 +104,7 @@ def slice_area(
     def inside(coords):
         return gauge.in_ball(_slice_points(gauge, nu, perp, t, coords))
 
-    return hit_or_miss(hw, inside, n_samples, seed, key, workers)
+    return hit_or_miss(hw, inside, n_samples, seed, key)
 
 
 def slice_area_at_center(
@@ -250,7 +248,6 @@ def slice_profile(
     grid_size: int = DEFAULT_GRID,
     n_samples: int = DEFAULT_SAMPLES,
     seed: int = 7,
-    workers: int = 1,
 ) -> SliceProfile:
     """psi sampled on a symmetric grid over [-T, T], T the support bound."""
     grid_size = int(grid_size)
@@ -259,12 +256,10 @@ def slice_profile(
     nu = direction(gauge.model, nu)
     T = support_radius(gauge, nu, seed=seed)
     grid = np.linspace(-T, T, grid_size)
-
-    def one_point(i):
-        return slice_area(gauge, nu, float(grid[i]), n_samples, seed=seed, key=(i,))
-
-    areas = ordered_map(one_point, list(range(grid_size)), workers)
-    return SliceProfile(nu, grid, tuple(areas), T, seed, gauge.model.n)
+    areas = tuple(
+        slice_area(gauge, nu, float(t), n_samples, seed=seed, key=(i,)) for i, t in enumerate(grid)
+    )
+    return SliceProfile(nu, grid, areas, T, seed, gauge.model.n)
 
 
 @dataclass(frozen=True)

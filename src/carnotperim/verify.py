@@ -195,7 +195,6 @@ def busemann_suite(
     grid_size: int = _PROFILE_GRID,
     n_samples: int = 100_000,
     seed: int = 7,
-    workers: int = 1,
 ) -> VerificationReport:
     """Concavity of the profile^(1/(n-1)) plus the central-slice maximum.
 
@@ -203,14 +202,14 @@ def busemann_suite(
     reports hypothesis-unmet and its checks are informational only.
     """
     conv = convexity_check(gauge, min(n_samples, _BUSEMANN_CONVEXITY_SAMPLES), seed)
-    return _busemann_report(conv, gauge, nu, grid_size, n_samples, seed, workers)
+    return _busemann_report(conv, gauge, nu, grid_size, n_samples, seed)
 
 
-def _busemann_report(conv, gauge, nu, grid_size, n_samples, seed, workers):
+def _busemann_report(conv, gauge, nu, grid_size, n_samples, seed):
     """busemann_suite given its convexity report, conv."""
     hypothesis_met = conv.outcome == PASS
 
-    profile = slice_profile(gauge, nu, grid_size, n_samples, seed=seed, workers=workers)
+    profile = slice_profile(gauge, nu, grid_size, n_samples, seed=seed)
     rep = concavity_report(profile)
     vals = profile.values()
     errs = profile.stderrs()
@@ -219,7 +218,7 @@ def _busemann_report(conv, gauge, nu, grid_size, n_samples, seed, workers):
     argmax_gap = float(vals[best] - vals[mid])
     argmax_tol = 3.0 * float(math.hypot(errs[best], errs[mid]))
 
-    b = beta(gauge, nu, n_samples=n_samples, seed=seed, key=(91,), workers=workers)
+    b = beta(gauge, nu, n_samples=n_samples, seed=seed, key=(91,))
     center = profile.areas[mid]
     beta_gap = abs(b.value.value - center.value)
     beta_tol = 3.0 * joint_stderr(b.value, center)
@@ -248,7 +247,6 @@ def blowup_suite(
     seed: int = 7,
     rel_tol: float = 0.05,
     beta_samples: int = 200_000,
-    workers: int = 1,
 ) -> VerificationReport:
     """Blow-up density equals the slice constant at each surface point.
 
@@ -262,8 +260,8 @@ def blowup_suite(
     info = {"points": []}
     for spec in surfaces:
         nu = horizontal_normal(spec, spec.x)
-        rep = federer_density(spec, gauge, sched=sched, workers=workers)
-        b = beta(gauge, nu, n_samples=beta_samples, seed=seed, key=(17,), workers=workers)
+        rep = federer_density(spec, gauge, sched=sched)
+        b = beta(gauge, nu, n_samples=beta_samples, seed=seed, key=(17,))
         gap = abs(rep.extrapolated_theta.value - b.value.value)
         tol = max(rel_tol * abs(b.value.value), 3.0 * joint_stderr(rep.extrapolated_theta, b.value))
         checks.append(
@@ -306,7 +304,6 @@ def run_all(
     samples: int = 20000,
     profile_samples: int = 50000,
     blowup_sched: DensitySchedule | None = None,
-    workers: int = 1,
 ):
     """Run every suite against one gauge; returns the list of reports."""
     nu = np.zeros(model.m1)
@@ -319,8 +316,7 @@ def run_all(
     reports = [
         conv,
         symmetry_check(gauge, samples=samples, seed=seed),
-        _busemann_report(busemann_conv, gauge, nu, _PROFILE_GRID, profile_samples, seed,
-                         workers),
+        _busemann_report(busemann_conv, gauge, nu, _PROFILE_GRID, profile_samples, seed),
     ]
     if model.step == 2:
         if blowup_sched is None:
@@ -328,6 +324,6 @@ def run_all(
         plane = vertical_plane(model, nu)
         reports.append(
             blowup_suite([plane], gauge, sched=blowup_sched, seed=seed,
-                         beta_samples=profile_samples, workers=workers)
+                         beta_samples=profile_samples)
         )
     return reports

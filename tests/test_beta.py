@@ -82,12 +82,6 @@ def test_beta_constancy_dinf(dinf2):
         assert r.value.value == pytest.approx(4.0 / dinf2.eps2**2, abs=1e-12)
 
 
-def test_beta_constancy_workers_invariant(koranyi):
-    a = beta_constancy(koranyi, n_directions=3, n_samples=20_000, seed=7, workers=1)
-    b = beta_constancy(koranyi, n_directions=3, n_samples=20_000, seed=7, workers=3)
-    assert [r.value for r in a.results] == [r.value for r in b.results]
-
-
 def test_beta_constancy_abelian_disc(disc):
     report = beta_constancy(disc, n_directions=8, n_samples=60_000, seed=7)
     assert report.constant_within_tolerance

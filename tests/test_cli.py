@@ -254,3 +254,18 @@ def test_group_file_via_cli(tmp_path):
     code = main(["slice-profile", "--group", str(model_file), "--gauge", "koranyi",
                  "--samples", "2000", "--grid", "5", "--out", str(out)])
     assert code == 0
+
+
+def test_workers_flag_is_accepted_and_ignored(tmp_path, capsys):
+    # the benchmark under bench/ appends --workers to every command
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    argv = ["beta", "--gauge", "koranyi", "--nu", "1,0", "--samples", "2000", "--seed", "7"]
+    assert main(argv + ["--out", str(a)]) == 0
+    assert main(argv + ["--workers", "2", "--out", str(b)]) == 0
+    assert read(a) == read(b)
+    assert b"workers" not in read(b)
+    for command in ("slice-profile", "beta", "beta-constancy", "blowup", "verify",
+                    "validate-gauge", "calibrate-dinf"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "--workers" not in capsys.readouterr().out

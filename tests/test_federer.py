@@ -171,13 +171,6 @@ def test_density_determinism(h1, koranyi):
     assert [r.ratio for r in a.records] == [r.ratio for r in b.records]
 
 
-def test_density_workers_invariant(h1, koranyi):
-    plane = vertical_plane(h1, [1.0, 0.0])
-    a = federer_density(plane, koranyi, sched=small_sched(samples=20_000, halvings=2), workers=1)
-    b = federer_density(plane, koranyi, sched=small_sched(samples=20_000, halvings=2), workers=3)
-    assert a.extrapolated_theta == b.extrapolated_theta
-
-
 def test_anchor_point_enforced(h1, koranyi):
     plane = vertical_plane(h1, [1.0, 0.0])
     with pytest.raises(ValueError):

@@ -58,9 +58,8 @@ def test_block_kernel_draws_whole_batch_numbers(n):
     inside = _slice_inside(gauge, [1.0, 1.0, 0.0, 0.0], 0.3)
     hw = np.array([0.95, 0.95, 0.95, 0.25])
     expected = _reference_hit_or_miss(hw, inside, n, 5, (2,))
-    for workers in (1, 3):
-        est = mc.hit_or_miss(hw, inside, n, 5, key=(2,), workers=workers)
-        assert (est.value, est.stderr, est.n_samples) == expected
+    est = mc.hit_or_miss(hw, inside, n, 5, key=(2,))
+    assert (est.value, est.stderr, est.n_samples) == expected
     for hw in HALFWIDTHS:
         # bit for bit: the int64 views tell -0.0 from 0.0 and every last bit
         ref_batches = _reference_draws(hw, n, 5, (2,))

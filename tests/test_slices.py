@@ -136,12 +136,6 @@ def test_slice_area_determinism(koranyi):
     assert c.value != a.value
 
 
-def test_workers_do_not_change_results(koranyi):
-    a = slice_area(koranyi, [1.0, 0.0], 0.3, n_samples=150_000, seed=9, workers=1)
-    b = slice_area(koranyi, [1.0, 0.0], 0.3, n_samples=150_000, seed=9, workers=4)
-    assert a == b
-
-
 # --- support and profiles -----------------------------------------------------------
 
 
