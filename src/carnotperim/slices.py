@@ -182,7 +182,7 @@ def support_radius(gauge: Gauge, nu, seed: int = 7, rel_tol: float = 1e-9) -> fl
     if not nonempty(0.0):
         return 0.0
     lo, hi = _bisect(nonempty, 0.0, top, rel_tol)
-    if lo > 0.0:
+    if lo > 0.0 and model.n > 1:  # on R^1 the slice is the one point t*nu
         # slice coordinates scale like the dilation weights (1 horizontal, 2 vertical)
         weights = model.dilation_weights[1:]
         witnesses = cloud[gauge.in_ball(_slice_points(gauge, nu, perp, lo, cloud))]

@@ -256,6 +256,21 @@ def test_group_file_via_cli(tmp_path):
     assert code == 0
 
 
+def test_slice_profile_on_the_line(tmp_path):
+    # on R^1 the slice at t is the one point t*nu: support 1, every area 1
+    out = tmp_path / "line.csv"
+    code = main(["slice-profile", "--group", "abelian:1", "--gauge", "euclidean",
+                 "--nu", "1", "--grid", "9", "--samples", "2000", "--out", str(out)])
+    assert code == 0
+    lines = out.read_text().splitlines()
+    support = [float(l.split("=")[1]) for l in lines if l.startswith("# support=")]
+    assert abs(support[0] - 1.0) <= 1e-8
+    rows = [l.split(",") for l in lines if not l.startswith("#")][1:]
+    assert len(rows) == 9
+    for t, area, stderr, _ in rows[1:-1]:
+        assert (float(area), float(stderr)) == (1.0, 0.0)
+
+
 def test_workers_flag_is_accepted_and_ignored(tmp_path, capsys):
     # the benchmark under bench/ appends --workers to every command
     a, b = tmp_path / "a.json", tmp_path / "b.json"
