@@ -177,7 +177,8 @@ def _check_working_box(spec: SurfaceSpec, n_probe: int = 64):
         raise RegularityError("horizontal gradient degenerates on the working box")
     if (grads @ spec.nu0).min() <= 0.0:
         raise RegularityError(
-            "the aligned derivative changes sign on the working box; shrink working_radius"
+            "the aligned derivative changes sign on the working box of radius %g around "
+            "the base point; choose another base point (--point) or surface (--surface)" % wr
         )
 
 

@@ -271,6 +271,16 @@ def test_slice_profile_on_the_line(tmp_path):
         assert (float(area), float(stderr)) == (1.0, 0.0)
 
 
+def test_blowup_refusal_names_what_the_cli_sets(capsys):
+    code = main(["blowup", "--surface", "expr:x3 - x1^2 - x2^2", "--point", "0.5,0,0.25",
+                 "--samples", "5000"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "working box of radius 0.5" in err
+    assert "--point" in err and "--surface" in err
+    assert "working_radius" not in err
+
+
 def test_workers_flag_is_accepted_and_ignored(tmp_path, capsys):
     # the benchmark under bench/ appends --workers to every command
     a, b = tmp_path / "a.json", tmp_path / "b.json"
