@@ -34,12 +34,15 @@ class GroupModel:
                  shape (m1, m1, m2); None for abelian models
     dilation_weights : the layer of each coordinate (1.0 or 2.0), the
                  exponents of the dilations; derived once, read-only
+    bracket_pairs : the (i, j, C[i, j]) with C[i, j] nonzero, in row-major
+                 order; derived once (empty for abelian models)
     """
 
     layer_dims: tuple
     bracket: np.ndarray | None = None
     name: str = ""
     dilation_weights: np.ndarray = field(init=False, repr=False)
+    bracket_pairs: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.layer_dims)
@@ -63,8 +66,13 @@ class GroupModel:
                 raise ConformanceError("bracket table must be antisymmetric")
             table.setflags(write=False)
             object.__setattr__(self, "bracket", table)
+            nonzero = np.nonzero(np.any(table != 0.0, axis=2))
+            pairs = tuple((int(i), int(j), table[i, j]) for i, j in zip(*nonzero))
         elif self.bracket is not None:
             raise ConformanceError("abelian model cannot carry a bracket table")
+        else:
+            pairs = ()
+        object.__setattr__(self, "bracket_pairs", pairs)
         weights = np.concatenate([np.ones(self.m1), 2.0 * np.ones(self.m2)])
         weights.setflags(write=False)
         object.__setattr__(self, "dilation_weights", weights)
@@ -129,11 +137,10 @@ class GroupModel:
         a = np.asarray(a)
         b = np.asarray(b)
         out = np.zeros(np.broadcast_shapes(a.shape, b.shape)[:-1] + (self.m2,))
-        if self.step == 2:
-            # the sum of a_i b_j C[i,j] over the nonzero rows of the table, in
-            # the order einsum("...i,...j,ijk->...k") accumulates it
-            for i, j in zip(*np.nonzero(np.any(self.bracket != 0.0, axis=2))):
-                out += (a[..., i] * b[..., j])[..., None] * self.bracket[i, j]
+        # the sum of a_i b_j C[i,j] over the nonzero rows of the table, in
+        # the order einsum("...i,...j,ijk->...k") accumulates it
+        for i, j, c in self.bracket_pairs:
+            out += (a[..., i] * b[..., j])[..., None] * c
         return out
 
     def multiply(self, p: Point, q: Point) -> Point:
