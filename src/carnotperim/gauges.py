@@ -144,6 +144,16 @@ class Gauge:
         """
         raise NotImplementedError
 
+    def vertical_reach(self, c: float) -> float:
+        """sup of |x_2| + c |x_1|^2 over the unit ball, for c >= 0.
+
+        The block radii (r0, r1) bound it by r1 + c r0^2, which is exact for
+        a product of layer balls (dinf); a gauge that knows its ball's shape
+        returns the sup itself.  Only step-2 models have a second layer.
+        """
+        radii = self.block_radii()
+        return float(radii[1] + c * radii[0] ** 2)
+
     def spec_string(self) -> str:
         raise NotImplementedError
 
@@ -249,6 +259,11 @@ class KoranyiGauge(Gauge):
     def block_radii(self):
         return np.array([1.0, 0.25])
 
+    def vertical_reach(self, c):
+        """On the unit sphere |x_1|^2 = cos a and |x_2| = sin(a) / 4, and
+        sin(a) / 4 + c cos(a) peaks at hypot(1/4, c) for an a in [0, pi/2]."""
+        return math.hypot(0.25, c)
+
     def spec_string(self):
         return "koranyi"
 
@@ -334,6 +349,12 @@ class AnisotropicGauge(Gauge):
 
     def block_radii(self):
         return np.array([1.0 / min(1.0, self._weights.min()), 0.25])
+
+    def vertical_reach(self, c):
+        """|x_1| <= r0 |W x_1| with equality along the least weighted axis, so
+        the Koranyi sup of |x_2| + c r0^2 |W x_1|^2 is the sup: hypot(1/4,
+        c r0^2)."""
+        return math.hypot(0.25, c * self.block_radii()[0] ** 2)
 
     def spec_string(self):
         return "aniso:scale=%g" % self.scale
@@ -524,6 +545,26 @@ class StarBodyGauge(Gauge):
         return self._name
 
 
+class _EuclideanBallGauge(StarBodyGauge):
+    """A star gauge whose unit ball is the Euclidean ball of radius rho."""
+
+    def __init__(self, model: GroupModel, rho: float, tol: float):
+        def oracle(pts):
+            return _sum_sq(pts) <= rho * rho
+
+        super().__init__(model, oracle, [rho] * model.step, "starball:rho=%g" % rho,
+                         declared_convex=True, declared_v1_symmetric=True, tol=tol)
+        self.rho = rho
+
+    def vertical_reach(self, c):
+        """On the sphere |x_2| = u and |x_1|^2 = rho^2 - u^2 for a u in
+        [0, rho], and u + c (rho^2 - u^2) peaks at u = min(rho, 1 / (2c))."""
+        rho = self.rho
+        if 2.0 * c * rho <= 1.0:
+            return rho
+        return c * rho * rho + 0.25 / c
+
+
 def euclidean_ball_gauge(model: GroupModel, rho: float, tol: float = _STAR_TOL) -> StarBodyGauge:
     """Gauge whose unit ball is the Euclidean ball of radius rho.
 
@@ -532,20 +573,7 @@ def euclidean_ball_gauge(model: GroupModel, rho: float, tol: float = _STAR_TOL) 
     """
     if rho <= 0:
         raise GaugeDefinitionError("starball radius must be positive")
-
-    def oracle(pts):
-        return _sum_sq(pts) <= rho * rho
-
-    radii = [rho] * model.step
-    return StarBodyGauge(
-        model,
-        oracle,
-        radii,
-        "starball:rho=%g" % rho,
-        declared_convex=True,
-        declared_v1_symmetric=True,
-        tol=tol,
-    )
+    return _EuclideanBallGauge(model, rho, tol)
 
 
 def two_ball_gauge(

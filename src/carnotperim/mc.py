@@ -5,14 +5,15 @@ Every stochastic routine in the package draws from a generator keyed by
 seed.
 
 The package's sampling kernel is ``box_batches``, uniform draws in an axis
-box in batches of BATCH rows, and ``hit_or_miss``, which integrates an
-indicator over the same batches into an Estimate.  Both draw through
-``_box_columns``; hit-or-miss walks each batch in column-major blocks of
-BLOCK rows, so its working set stays in cache while the draws and hit
-counts are those of the whole batch.  BLOCK is 8192 rows: against 4096 it
-halves the Python calls per sample, and of 4096, 8192 and 12288 it gave
-the fewest ns per slice_area sample for Koranyi and twoball on H^1 and
-Koranyi and starball on H^2 (see README, "Notes on method").
+box in batches of BATCH rows, and ``box_blocks``, the same draws in
+column-major blocks of at most BLOCK rows per batch, drawn into reused
+buffers, so a working set stays in cache while the draws are those of the
+whole batch.  ``hit_or_miss`` integrates an indicator over the blocks into
+an Estimate; the blow-up clouds of surfaces are drawn from them too.  BLOCK
+is 8192 rows: against 4096 it halves the Python calls per sample, and of
+4096, 8192 and 12288 it gave the fewest ns per slice_area sample for
+Koranyi and twoball on H^1 and Koranyi and starball on H^2 (see README,
+"Notes on method").
 """
 
 from __future__ import annotations
@@ -97,31 +98,44 @@ def box_batches(hw, n_samples: int, seed: int, key: tuple = ()):
         yield _box_columns(substream(seed, *key, b), hw, np.empty(cols.size), cols).T
 
 
+def box_blocks(hw, n_samples: int, seed: int, key: tuple = (), rows: int = BLOCK):
+    """Yield the points of box_batches block by block.
+
+    Each batch is cut into nearly equal blocks of at most `rows` rows (a
+    block has one row only in a batch of one row), drawn in order from the
+    batch's substream.  The draws are split-invariant, so the blocks hold
+    the numbers of box_batches.  Each block is a column-major (k, len(hw))
+    view of one pair of buffers that every block reuses, so it is valid
+    until the next block is drawn.
+    """
+    sizes = _batch_sizes(n_samples)
+    hw = np.asarray(hw, dtype=float)
+    d = len(hw)
+    raw = np.empty(min(max(sizes, default=0), rows) * d)
+    cols = np.empty(raw.size)
+    for b, size in enumerate(sizes):
+        rng = substream(seed, *key, b)
+        blocks = -(-size // rows)
+        edges = [size * i // blocks for i in range(blocks + 1)]
+        for lo, hi in zip(edges, edges[1:]):
+            k = hi - lo
+            yield _box_columns(rng, hw, raw[: k * d], cols[: k * d].reshape(d, k)).T
+
+
 def hit_or_miss(hw, inside, n_samples: int, seed: int, key: tuple = ()) -> Estimate:
     """Volume of {inside} within the box prod [-hw_i, hw_i], by hit-or-miss.
 
     inside maps a column-major (k, len(hw)) block of at most BLOCK points to
-    k booleans.  Each batch of box_batches is drawn and tested block by block
-    from its own substream, so the points are those of box_batches; one
-    pair of block buffers serves every batch.
+    k booleans; the blocks are those of box_blocks.
     """
-    sizes = _batch_sizes(n_samples)
-    n = sum(sizes)
+    n = int(n_samples)
+    hits = 0
+    for block in box_blocks(hw, n, seed, key):
+        hits += int(np.count_nonzero(inside(block)))
     if n == 0:
         return Estimate(0.0, 0.0, 0, seed)
-    hw = np.asarray(hw, dtype=float)
-    d = len(hw)
-    raw = np.empty(min(n, BLOCK) * d)
-    cols = np.empty(raw.size)
-    hits = 0
-    for b, size in enumerate(sizes):
-        rng = substream(seed, *key, b)
-        for start in range(0, size, BLOCK):
-            k = min(BLOCK, size - start)
-            block = _box_columns(rng, hw, raw[: k * d], cols[: k * d].reshape(d, k))
-            hits += int(np.count_nonzero(inside(block.T)))
     hits = float(hits)
-    volume = float(np.prod(2.0 * hw))
+    volume = float(np.prod(2.0 * np.asarray(hw, dtype=float)))
     # indicator weights: sum w^2 = sum w = hits
     var = max(hits - hits * hits / n, 0.0) / (n - 1) if n > 1 else 0.0
     return Estimate(volume * (hits / n), volume * math.sqrt(var / n), n, seed)

@@ -33,7 +33,7 @@ import numpy as np
 from .exceptions import BracketError, ConformanceError, RegionError, RegularityError
 from .gauges import Gauge, _certified_roots, _halve_bracket, _sum_sq
 from .groups import GroupModel, embed_v1, frame_points, vertical_complement
-from .mc import Estimate, box_batches, substream
+from .mc import Estimate, box_blocks, substream
 
 FD_STEP = 1e-5
 GRAD_MIN = 1e-6
@@ -259,21 +259,23 @@ def _reach_bounds(spec: SurfaceSpec, gauge: Gauge, reach: float):
     the base point.
 
     Such points satisfy d(Phi(eta), x) <= reach, i.e. p = eta * (phi e1)
-    lies in B(0, reach), so |p_1| <= h = reach r0 and |p_2| <= reach^2 r1
-    with (r0, r1) the gauge's block radii.  The first layer p_1 = eta_1 +
-    phi e1 splits orthogonally, since eta_1 is perpendicular to e1, so
-    |eta_1|^2 + phi^2 <= h^2: each kernel coordinate is at most h, and
-    |eta_1| |phi| <= h^2 / 2.  The second layer is p_2 = eta_2 +
-    phi [eta_1, e1] / 2, and |[eta_1, e1]| <= ad_norm(e1) |eta_1|, so each
-    vertical coordinate is at most reach^2 r1 + ad_norm(e1) h^2 / 4.
+    lies in B(0, reach), so |p_1| <= h = reach r0 with r0 the gauge's
+    horizontal block radius.  The first layer p_1 = eta_1 + phi e1 splits
+    orthogonally, since eta_1 is perpendicular to e1, so |eta_1|^2 + phi^2 =
+    |p_1|^2 <= h^2: each kernel coordinate is at most h, and |eta_1| |phi|
+    <= |p_1|^2 / 2.  The second layer is p_2 = eta_2 + phi [eta_1, e1] / 2,
+    and |[eta_1, e1]| <= ad_norm(e1) |eta_1|, so |eta_2| <= |p_2| + c |p_1|^2
+    with c = ad_norm(e1) / 4.  The two layers are bounded jointly: the
+    dilation by 1 / reach maps p into the unit ball and scales |p_2| +
+    c |p_1|^2 by reach^-2, so each vertical coordinate is at most reach^2
+    gauge.vertical_reach(c).
     """
     model = spec.model
-    radii = gauge.block_radii()
-    h = reach * radii[0]
+    h = reach * gauge.block_radii()[0]
     out = np.empty(model.n - 1)
     out[: model.m1 - 1] = h
     if model.m2:
-        out[model.m1 - 1 :] = reach**2 * radii[1] + 0.25 * model.ad_norm(spec.nu0) * h * h
+        out[model.m1 - 1 :] = reach**2 * gauge.vertical_reach(0.25 * model.ad_norm(spec.nu0))
     return out
 
 
@@ -352,9 +354,13 @@ def sample_patch(
         axis = int(np.argmax([np.ptp(kept[:, j]) for j in range(model.m1)]))
     # a window holds every sample with its key, so ties may come in any order
     order = np.argsort(kept[:, axis])
-    return PatchCloud(t=t, alpha=alpha[order], sorted_points=_take_rows(kept, order),
-                      sort_axis=axis, n_samples=n_samples, volume=float(np.prod(2.0 * hw)),
-                      halfwidths=hw, failures=failures, expansions=expansions, seed=seed)
+    scratch = np.empty(len(order))
+    for col in (*kept.T, alpha):  # sorted in place, one column of scratch at a time
+        np.take(col, order, out=scratch, mode="clip")
+        col[...] = scratch
+    return PatchCloud(t=t, alpha=alpha, sorted_points=kept, sort_axis=axis,
+                      n_samples=n_samples, volume=float(np.prod(2.0 * hw)), halfwidths=hw,
+                      failures=failures, expansions=expansions, seed=seed)
 
 
 def _draw_cloud(spec, gauge, t, n_samples, hw, bounds, reach, seed, key):
@@ -362,12 +368,16 @@ def _draw_cloud(spec, gauge, t, n_samples, hw, bounds, reach, seed, key):
     within reach of the base point (every ok sample if the gauge is no
     distance).
 
-    Each batch of box_batches is worked in nearly equal blocks of at most
-    HEIGHT_BLOCK rows (never one of a single row: BLAS rounds a one-row f
-    apart).  A block's heights, points and densities are found, and its
-    checks folded into the draw's, before the next block starts.  Returns
+    The draw comes from mc.box_blocks in blocks of at most HEIGHT_BLOCK
+    rows (never one of a single row: BLAS rounds a one-row f apart).  A
+    block's heights, points and densities are found, and its checks folded
+    into the draw's, before the next block starts.  The kept rows are
+    gathered into the head of one column-major buffer of n_samples rows and
+    their densities into another; pages past the head are never touched.
+    Returns
 
-    - the points and the densities of the kept rows, in draw order;
+    - the points and the densities of the kept rows, in draw order, as
+      views of those buffers;
     - shell: the column maxima of |eta| over the ok rows within reach;
     - relevant: the rows inside the provable bounds, over every block, and
       failures: those of them whose height bracket failed;
@@ -394,43 +404,42 @@ def _draw_cloud(spec, gauge, t, n_samples, hw, bounds, reach, seed, key):
     model = spec.model
     e1 = embed_v1(model, spec.nu0)
     shell = np.zeros(model.n - 1)
-    kept_points, kept_alpha = [], []
-    relevant = failures = degenerate = 0
-    for batch in box_batches(hw, n_samples, seed, key):
-        k = len(batch)
-        blocks = -(-k // HEIGHT_BLOCK)
-        edges = [k * i // blocks for i in range(blocks + 1)]
-        for lo, hi in zip(edges, edges[1:]):
-            eta = batch[lo:hi]
-            base = model.multiply(spec.x, spec.embed_parameters(eta))
-            phi, found = _graph_heights(spec, base, BRACKET_FACTOR * t)
-            step = np.empty(base.shape, order="F")
-            np.multiply.outer(phi, e1, out=step)
-            pts = model.multiply(base, step)
-            grads = spec.grad_many(pts)
-            gn = np.sqrt(_sum_sq(grads))
-            x1f = grads @ spec.nu0
-            good = found & (x1f > 1e-9 * np.maximum(gn, 1.0))
-            near = gauge.in_ball(pts, radius=reach, center=spec.x)
-            size = np.abs(eta)
-            inside = np.all(size <= bounds, axis=-1)
-            relevant += int(np.count_nonzero(inside))
-            failures += int(np.count_nonzero(inside & ~found))
-            degenerate += int(np.count_nonzero(near & found & ~good))
-            within = near & good
-            # |eta| >= 0, so zeroing the other rows leaves the maxima over these
-            np.maximum(shell, (size * within[:, None]).max(axis=0), out=shell)
-            keep = np.flatnonzero(within if gauge.declared_distance else good)
-            kept_points.append(_take_rows(pts, keep))
-            kept_alpha.append(gn[keep] / x1f[keep])
-    return (np.concatenate(kept_points), np.concatenate(kept_alpha), shell,
-            relevant, failures, degenerate)
+    points = np.empty((n_samples, model.n), order="F")
+    alpha = np.empty(n_samples)
+    kept = relevant = failures = degenerate = 0
+    for eta in box_blocks(hw, n_samples, seed, key, HEIGHT_BLOCK):
+        base = model.multiply(spec.x, spec.embed_parameters(eta))
+        phi, found = _graph_heights(spec, base, BRACKET_FACTOR * t)
+        step = np.empty(base.shape, order="F")
+        np.multiply.outer(phi, e1, out=step)
+        pts = model.multiply(base, step)
+        grads = spec.grad_many(pts)
+        gn = np.sqrt(_sum_sq(grads))
+        x1f = grads @ spec.nu0
+        good = found & (x1f > 1e-9 * np.maximum(gn, 1.0))
+        near = gauge.in_ball(pts, radius=reach, center=spec.x)
+        size = np.abs(eta)
+        inside = np.all(size <= bounds, axis=-1)
+        relevant += int(np.count_nonzero(inside))
+        failures += int(np.count_nonzero(inside & ~found))
+        degenerate += int(np.count_nonzero(near & found & ~good))
+        within = near & good
+        # |eta| >= 0, so zeroing the other rows leaves the maxima over these
+        np.maximum(shell, (size * within[:, None]).max(axis=0), out=shell)
+        keep = np.flatnonzero(within if gauge.declared_distance else good)
+        rows = slice(kept, kept + len(keep))
+        _take_rows(pts, keep, points[rows])
+        np.divide(gn[keep], x1f[keep], out=alpha[rows])
+        kept = rows.stop
+    return points[:kept], alpha[:kept], shell, relevant, failures, degenerate
 
 
-def _take_rows(pts, rows):
+def _take_rows(pts, rows, out=None):
     """pts[rows] of a column-major pts as a column-major array, gathered one
-    column at a time (take's default mode would buffer each column)."""
-    out = np.empty((len(rows), pts.shape[1]), order="F")
+    column at a time into out (a new array by default); take's default
+    mode would buffer each column."""
+    if out is None:
+        out = np.empty((len(rows), pts.shape[1]), order="F")
     for j in range(pts.shape[1]):
         np.take(pts[:, j], rows, out=out[:, j], mode="clip")
     return out

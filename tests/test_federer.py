@@ -212,14 +212,18 @@ def test_scoring_gauge_sees_under_a_tenth_of_the_cloud(h1, koranyi, monkeypatch)
     assert 0 < max(max(r) for r in search) < 0.1 * samples
 
 
-def test_search_cloud_keeps_and_translates_under_half_of_its_samples(h1, koranyi, monkeypatch):
+def test_search_cloud_keeps_its_reach_and_translates_a_window_of_it(h1, koranyi, monkeypatch):
     # deterministic guard on the work the pruned cloud saves: the search
-    # cloud keeps only its ok samples within reach (37% at t = 0.1), and its
-    # 21 scorings hand model.multiply under a quarter of the cloud each (a
-    # window over every ok sample of the cloud held about 47%)
+    # cloud keeps exactly the ok samples of its draw within reach' (53% of
+    # the draw at t = 0.1), and its 21 scorings hand model.multiply at most
+    # 0.562 of the kept rows each, the share that 89,418 rows over 21
+    # scorings of 7,577 kept rows gave with the looser box of r1 + c r0^2
     import carnotperim.federer as federer_module
     from carnotperim.federer import SCAN
     from carnotperim.groups import GroupModel
+    from carnotperim.surfaces import SCORE_SLACK
+
+    from test_surfaces import whole_draw_of
 
     per_call, active = [], []
     real_ratio, real_multiply = federer_module.ratio_on_cloud, GroupModel.multiply
@@ -238,12 +242,16 @@ def test_search_cloud_keeps_and_translates_under_half_of_its_samples(h1, koranyi
 
     monkeypatch.setattr(federer_module, "ratio_on_cloud", counted_ratio)
     monkeypatch.setattr(GroupModel, "multiply", counted_multiply)
-    n = 20_000
-    federer_density(coordinate_plane(h1), koranyi, sched=DensitySchedule((0.1,), n, 7))
+    n, t, spec = 20_000, 0.1, coordinate_plane(h1)
+    federer_density(spec, koranyi, sched=DensitySchedule((t,), n, 7))
     search = per_call[: len(SCAN)]
     assert len(per_call) == len(SCAN) + 1 and len({id(c) for c, _ in search}) == 1
-    assert len(search[0][0].alpha) <= 0.45 * n
-    assert 0 < sum(rows for _, rows in search) <= 0.25 * len(SCAN) * n
+    cloud = search[0][0]
+    monkeypatch.undo()
+    _, pts, _, ok, _ = whole_draw_of(cloud, spec, key=(0,))
+    near = koranyi.in_ball(pts, radius=2.0 * t * (1.0 + SCORE_SLACK), center=spec.x)
+    assert len(cloud.alpha) == np.count_nonzero(ok & near)
+    assert 0 < sum(rows for _, rows in search) <= 0.562 * len(SCAN) * len(cloud.alpha)
 
 
 def test_each_radius_draws_two_clouds_and_scores_the_scan_once(h1, monkeypatch):

@@ -499,3 +499,31 @@ def test_star_body_unit_ball_skips_no_membership(h1):
         assert isinstance(gauge, StarBodyGauge)
         pts = random_points(h1, rng, 3000, scale=1.2)
         assert np.array_equal(gauge.in_ball(pts, 1.0), gauge.oracle(h1.dilate(1.0, pts)))
+
+
+CLOSED_FORMS = ("koranyi", "aniso:scale=2", "starball:rho=0.5")
+
+
+@pytest.mark.parametrize("group", ["heisenberg:1", "heisenberg:2"])
+@pytest.mark.parametrize("spec", CLOSED_FORMS + ("dinf:eps2=0.5", "twoball"))
+def test_vertical_reach_bounds_the_unit_sphere(group, spec):
+    # random rays dilated onto the unit sphere never pass vertical_reach(c),
+    # up to the norm's tolerance, which |x_2| + c |x_1|^2 scales by at most
+    # its square; a closed form comes within 1e-3 of their maximum, so it is
+    # tight.  Each coordinate of a ray is scaled by 10^U(-3, 0), so that
+    # rays near a layer's axis, where the sup may lie, are drawn too
+    model = parse_group(group)
+    gauge = parse_gauge(model, spec)
+    rng = np.random.default_rng(47)
+    rays = rng.standard_normal((40_000, model.n)) * 10.0 ** rng.uniform(-3.0, 0.0, (40_000, model.n))
+    sphere = model.dilate(1.0 / gauge.norm_many(rays), rays)
+    v1 = np.linalg.norm(model.v1(sphere), axis=1)
+    v2 = np.linalg.norm(model.v2(sphere), axis=1)
+    for c in (0.0, 0.25, 1.0, 3.0):
+        sampled = float(np.max(v2 + c * v1 * v1))
+        reach = gauge.vertical_reach(c)
+        assert reach * (1.0 + gauge.norm_tolerance()) ** 2 >= sampled
+        if spec in CLOSED_FORMS:
+            assert reach - sampled <= 1e-3
+        else:
+            assert reach == gauge.block_radii()[1] + c * gauge.block_radii()[0] ** 2

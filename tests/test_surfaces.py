@@ -382,7 +382,8 @@ def test_blowup_kernels_see_column_major_layouts(h1):
         cloud = sample_patch(replace(spec, f=f, grad_h=grad_h), gauge, 0.2, n, seed=7)
         assert max(blocks) <= HEIGHT_BLOCK
         assert layouts and set(layouts) == {((k, h1.n), True) for k in blocks}
-        assert cloud.sorted_points.flags.f_contiguous
+        # a view of the draw's buffer: each column is contiguous
+        assert cloud.sorted_points.strides[0] == cloud.sorted_points.itemsize
         assert not cloud.sorted_points.flags.c_contiguous
         # the points on the graph keep the blocks' layout: the gradient and
         # the reach test read them column by column too
@@ -610,8 +611,8 @@ def test_no_catalog_cloud_expands(request, group, gauge_spec, surface):
 
 
 @pytest.mark.parametrize("group", ["h1", "h2"])
-def test_koranyi_vertical_reach_bound_is_half_the_squared_reach(request, group):
-    # r0 = 1, r1 = 1/4 and ad_norm(e1) = 1: R^2 / 4 + R^2 / 4
+def test_koranyi_vertical_reach_bound_is_root_two_quarters_of_the_squared_reach(request, group):
+    # r0 = 1 and ad_norm(e1) = 1: R^2 hypot(1/4, 1/4)
     model = request.getfixturevalue(group)
     koranyi = parse_gauge(model, "koranyi")
     for surface in ("tplane", "vplane:nu=1" + ",0" * (model.m1 - 1),
@@ -620,7 +621,8 @@ def test_koranyi_vertical_reach_bound_is_half_the_squared_reach(request, group):
         for R in (0.5, 0.3):
             bounds = _reach_bounds(spec, koranyi, R)
             assert np.allclose(bounds[: model.m1 - 1], R, rtol=1e-15, atol=0.0)
-            assert np.allclose(bounds[model.m1 - 1 :], 0.5 * R * R, rtol=1e-15, atol=0.0)
+            assert np.allclose(bounds[model.m1 - 1 :], math.sqrt(2.0) / 4.0 * R * R,
+                               rtol=1e-15, atol=0.0)
 
 
 def whole_draw(spec, t, n_samples, hw, seed, key):
@@ -863,3 +865,19 @@ def test_parse_surface(h1):
     assert parse_surface(h1, "vplane:nu=0,1").name == "vplane"
     s = parse_surface(h1, "expr:x3", x=np.array([1.0, 0.0, 0.0]))
     assert s.f_many(np.array([[0.0, 0.0, 0.7]]))[0] == pytest.approx(0.7)
+
+
+@pytest.mark.parametrize("spec", ["koranyi", "starball:rho=0.5"])
+def test_perimeter_ball_stderr_covers_the_halfspace_identity(h1, spec):
+    # on the vertical plane through the identity sigma(B(0, t)) = t^(Q-1)
+    # psi(0) exactly; over 16 independent seeds at least 15 estimates lie
+    # within 3 se of it
+    from test_slices import koranyi_slice_oracle
+
+    psi0 = koranyi_slice_oracle(0.0) if spec == "koranyi" else math.pi / 4.0
+    plane, gauge, t = parse_surface(h1, "vplane:nu=1,0"), parse_gauge(h1, spec), 0.1
+    zs = []
+    for seed in range(1, 17):
+        est = perimeter_ball(plane, gauge, h1.identity(), t, n_samples=20_000, seed=seed).value
+        zs.append((est.value - t ** (h1.Q - 1) * psi0) / est.stderr)
+    assert sum(abs(z) <= 3.0 for z in zs) >= 15, zs
