@@ -129,11 +129,11 @@ def hit_or_miss(hw, inside, n_samples: int, seed: int, key: tuple = ()) -> Estim
     k booleans; the blocks are those of box_blocks.
     """
     n = int(n_samples)
+    if n == 0:
+        return Estimate(0.0, 0.0, 0, seed)
     hits = 0
     for block in box_blocks(hw, n, seed, key):
         hits += int(np.count_nonzero(inside(block)))
-    if n == 0:
-        return Estimate(0.0, 0.0, 0, seed)
     hits = float(hits)
     volume = float(np.prod(2.0 * np.asarray(hw, dtype=float)))
     # indicator weights: sum w^2 = sum w = hits
