@@ -515,11 +515,12 @@ def test_vertical_reach_bounds_the_unit_sphere(group, spec):
     model = parse_group(group)
     gauge = parse_gauge(model, spec)
     rng = np.random.default_rng(47)
-    rays = rng.standard_normal((40_000, model.n)) * 10.0 ** rng.uniform(-3.0, 0.0, (40_000, model.n))
+    shape = (40_000, model.n)
+    rays = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3.0, 0.0, shape)
     sphere = model.dilate(1.0 / gauge.norm_many(rays), rays)
     v1 = np.linalg.norm(model.v1(sphere), axis=1)
     v2 = np.linalg.norm(model.v2(sphere), axis=1)
-    for c in (0.0, 0.25, 1.0, 3.0):
+    for c in (0.0, 0.25, 1.0, 1.5, 3.0):  # 1.5 falls between starball:rho=0.5's two branches
         sampled = float(np.max(v2 + c * v1 * v1))
         reach = gauge.vertical_reach(c)
         assert reach * (1.0 + gauge.norm_tolerance()) ** 2 >= sampled
