@@ -39,9 +39,15 @@ CASES = (
     ("beta_constancy.csv",
      ("beta-constancy", "--gauge", "koranyi", "--directions", "3", "--samples", "2000",
       "--seed", "7")),
+    ("beta_constancy.json",
+     ("beta-constancy", "--gauge", "koranyi", "--directions", "3", "--samples", "2000",
+      "--format", "json", "--seed", "7")),
     ("blowup_tplane.csv",
      ("blowup", "--surface", "tplane", "--gauge", "koranyi", "--radii", "0.4:2",
       "--samples", "5000", "--seed", "7")),
+    ("blowup_tplane.json",
+     ("blowup", "--surface", "tplane", "--gauge", "koranyi", "--radii", "0.4:2",
+      "--samples", "5000", "--format", "json", "--seed", "7")),
     ("blowup_tplane_h2.csv",
      ("blowup", "--group", "heisenberg:2", "--surface", "tplane", "--gauge", "koranyi",
       "--radii", "0.2:2", "--samples", "5000", "--seed", "7")),
@@ -60,6 +66,8 @@ CASES = (
       "heisenberg:2", "--samples", "2000", "--seed", "7")),
     ("validate_gauge.json",
      ("validate-gauge", "--gauge", "starball:rho=0.5", "--samples", "2000", "--seed", "7")),
+    ("validate_gauge_dinf.json",
+     ("validate-gauge", "--gauge", "dinf:eps2=1000", "--samples", "2000", "--seed", "7")),
     ("calibrate_dinf.json",
      ("calibrate-dinf", "--group", "heisenberg:1", "--eps-grid", "4,2,1,0.5,0.25",
       "--samples", "2000", "--seed", "7")),
