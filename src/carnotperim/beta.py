@@ -19,31 +19,24 @@ import numpy as np
 from .exceptions import GaugeDefinitionError
 from .gauges import Gauge, convexity_sample
 from .groups import direction
-from .mc import Estimate, joint_stderr, substream
+from .mc import Estimate, Record, joint_stderr, substream
 from .slices import DEFAULT_GRID, DEFAULT_SAMPLES, slice_area, slice_profile
 
 
 @dataclass(frozen=True)
-class BetaResult:
+class BetaResult(Record):
     nu: np.ndarray
     value: Estimate
     argmax_t: float
     method: str  # convex_fast_path | grid_refine
     c_qm1: float  # omega / 2^(Q-1), the covering-normalization constant
 
-    @property
-    def omega(self) -> float:
-        """beta itself, the ball constant for symmetric distances."""
-        return self.value.value
-
     def as_dict(self):
-        return {
-            "nu": self.nu.tolist(),
-            "value": self.value.as_dict(),
-            "argmax_t": self.argmax_t,
-            "method": self.method,
-            "spherical_constant": {"omega": self.omega, "c_qm1": self.c_qm1},
-        }
+        """Record.as_dict with c_qm1 nested beside omega, which is beta itself
+        (the ball constant for symmetric distances)."""
+        out = super().as_dict()
+        out["spherical_constant"] = {"omega": self.value.value, "c_qm1": out.pop("c_qm1")}
+        return out
 
 
 def beta(
@@ -161,7 +154,7 @@ def _grid_halving(gauge, nu, lo, hi, n_samples, seed, rounds):
 
 
 @dataclass(frozen=True)
-class BetaConstancy:
+class BetaConstancy(Record):
     """beta over a batch of random horizontal directions, with a flatness verdict."""
 
     results: tuple
@@ -169,15 +162,6 @@ class BetaConstancy:
     tolerance: float  # 3x the worst joint stderr over pairs
     constant_within_tolerance: bool
     seed: int
-
-    def as_dict(self):
-        return {
-            "results": [r.as_dict() for r in self.results],
-            "max_pairwise_dev": self.max_pairwise_dev,
-            "tolerance": self.tolerance,
-            "constant_within_tolerance": self.constant_within_tolerance,
-            "seed": self.seed,
-        }
 
 
 def beta_constancy(

@@ -178,7 +178,7 @@ def cmd_beta(args):
     rows = [
         (
             result.argmax_t, result.value.value, result.value.stderr,
-            result.method, result.omega, result.c_qm1,
+            result.method, result.value.value, result.c_qm1,
         )
     ]
     _emit(args, meta, ("argmax_t", "beta", "stderr", "method", "omega", "c_qm1"),

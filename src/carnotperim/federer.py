@@ -39,7 +39,7 @@ import numpy as np
 from .exceptions import RegionError
 from .gauges import Gauge
 from .groups import Point, embed_v1
-from .mc import Estimate
+from .mc import Estimate, Record
 from .surfaces import SurfaceSpec, ratio_on_cloud, sample_patch
 
 SCAN = np.linspace(-1.0, 1.0, 21)  # offsets s on the normal line; SCAN[10] == 0
@@ -79,7 +79,7 @@ def default_schedule(
 
 
 @dataclass(frozen=True)
-class RadiusRecord:
+class RadiusRecord(Record):
     t: float
     ratio: float
     stderr: float
@@ -91,23 +91,9 @@ class RadiusRecord:
     failures: int  # bracket failures, both clouds
     expansions: int  # parameter-box expansions, both clouds
 
-    def as_dict(self):
-        return {
-            "t": self.t,
-            "ratio": self.ratio,
-            "stderr": self.stderr,
-            "centered_ratio": self.centered_ratio,
-            "centered_stderr": self.centered_stderr,
-            "best_w": list(self.best_w),
-            "best_center": list(self.best_center),
-            "n_samples": self.n_samples,
-            "failures": self.failures,
-            "expansions": self.expansions,
-        }
-
 
 @dataclass(frozen=True)
-class DensityReport:
+class DensityReport(Record):
     surface: str
     gauge: str
     point: tuple
@@ -118,20 +104,6 @@ class DensityReport:
     tail_converged: bool
     truncated: bool  # at least one radius was refused and skipped
     seed: int
-
-    def as_dict(self):
-        return {
-            "surface": self.surface,
-            "gauge": self.gauge,
-            "point": list(self.point),
-            "records": [r.as_dict() for r in self.records],
-            "running_sup": list(self.running_sup),
-            "extrapolated_theta": self.extrapolated_theta.as_dict(),
-            "centered_extrapolated": self.centered_extrapolated.as_dict(),
-            "tail_converged": self.tail_converged,
-            "truncated": self.truncated,
-            "seed": self.seed,
-        }
 
 
 def federer_density(

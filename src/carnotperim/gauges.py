@@ -4,10 +4,10 @@ Three families are provided:
 
 * closed-form gauges: the Cygan-Koranyi gauge ``(|x1|^4 + 16|x2|^2)^(1/4)``,
   the layer-wise maximum gauge ``max_j eps_j |x_j|^(1/j)``, and the Euclidean
-  norm on abelian models;
+  norm on abelian models (the layer-wise maximum of one layer);
 * star-body gauges defined by a membership oracle for any compact body that
   is star-shaped under dilations (Euclidean balls, unions of vertical balls);
-* an anisotropic variant used as a designed counterexample for the
+* an anisotropic Koranyi gauge used as a designed counterexample for the
   horizontal-rotation symmetry checks.
 
 Declared flags (convexity, horizontal symmetry) are claims to be verified by
@@ -23,7 +23,7 @@ import numpy as np
 
 from .exceptions import CalibrationError, ConformanceError, GaugeDefinitionError
 from .groups import GroupModel, Point, embed_v1
-from .mc import substream
+from .mc import Record, substream
 
 _STAR_TOL = 1e-10
 
@@ -172,11 +172,6 @@ class Gauge:
             pts = self.model.multiply(self.model.inverse(center), pts)
         return self.norm_many(pts) <= radius
 
-    @property
-    def r0(self) -> float:
-        """Radius of the horizontal trace of the unit ball along e1."""
-        return float(self._trace_radius(np.eye(self.model.m1)[:1])[0])
-
     def _trace_radius(self, dirs) -> np.ndarray:
         """sup { s : (s*u, 0) in unit ball } for each horizontal unit vector u.
 
@@ -227,12 +222,16 @@ class KoranyiGauge(Gauge):
 
     def __init__(self, model: GroupModel):
         if model.step != 2:
-            raise ConformanceError("the koranyi gauge needs a step-2 model")
+            raise ConformanceError("the %s gauge needs a step-2 model" % self.kind)
         super().__init__(model, declared_convex=True, declared_v1_symmetric=True)
+
+    def _v1_sum_sq(self, pts):
+        """|x1|^2 of conforming pts."""
+        return _sum_sq(self.model.v1(pts))
 
     def _quartic(self, pts):
         """|x1|^4 + 16 |x2|^2 of conforming pts: the norm's fourth power."""
-        a = _sum_sq(self.model.v1(pts))
+        a = self._v1_sum_sq(pts)
         a *= a  # in place on the fresh sums: the bits of a * a + 16.0 * b
         b = _sum_sq(self.model.v2(pts))
         b *= 16.0
@@ -260,9 +259,15 @@ class KoranyiGauge(Gauge):
         return np.array([1.0, 0.25])
 
     def vertical_reach(self, c):
-        """On the unit sphere |x_1|^2 = cos a and |x_2| = sin(a) / 4, and
-        sin(a) / 4 + c cos(a) peaks at hypot(1/4, c) for an a in [0, pi/2]."""
-        return math.hypot(0.25, c)
+        """hypot(1/4, c r0^2), with r0 the horizontal radius block_radii()[0].
+
+        On the unit sphere |x_1|^2 = cos a and |x_2| = sin(a) / 4, and
+        sin(a) / 4 + c cos(a) peaks at hypot(1/4, c) for an a in [0, pi/2]:
+        that is r0 = 1.  A stretched first layer (AnisotropicGauge) has
+        |x_1| <= r0 |W x_1|, with equality along the least weighted axis, so
+        the same sup of |x_2| + c r0^2 |W x_1|^2 is its sup.
+        """
+        return math.hypot(0.25, c * self.block_radii()[0] ** 2)
 
     def spec_string(self):
         return "koranyi"
@@ -301,60 +306,46 @@ class DInfinityGauge(Gauge):
         return "dinf:eps2=%g" % self.eps2
 
 
-class EuclideanGauge(Gauge):
-    """Euclidean norm on an abelian model (dilations are scalar there)."""
+class EuclideanGauge(DInfinityGauge):
+    """Euclidean norm on an abelian model (dilations are scalar there): the
+    dinf gauge of a model with one layer."""
 
     kind = "euclidean"
 
     def __init__(self, model: GroupModel):
         if model.step != 1:
             raise ConformanceError("the euclidean gauge is homogeneous on abelian models only")
-        super().__init__(model, declared_convex=True, declared_v1_symmetric=True)
-
-    def norm_many(self, pts):
-        return np.sqrt(_sum_sq(self.model.conform(pts)))
-
-    def block_radii(self):
-        return np.array([1.0])
+        super().__init__(model)
 
     def spec_string(self):
         return "euclidean"
 
 
-class AnisotropicGauge(Gauge):
-    """Koranyi-type gauge with a stretched first layer: not V1-symmetric.
+class AnisotropicGauge(KoranyiGauge):
+    """Koranyi gauge of W x_1 with a stretched first layer: not V1-symmetric.
 
-    Designed counterexample for the horizontal-rotation checks; the unit
-    ball is still convex and inversion-symmetric.
+    W multiplies every odd-indexed first-layer axis by scale.  Designed
+    counterexample for the horizontal-rotation checks; the unit ball is
+    still convex and inversion-symmetric.
     """
 
     kind = "aniso"
 
     def __init__(self, model: GroupModel, scale: float = 2.0):
-        if model.step != 2:
-            raise ConformanceError("the anisotropic gauge needs a step-2 model")
         if scale <= 0:
             raise GaugeDefinitionError("scale must be positive")
-        super().__init__(model, declared_convex=True, declared_v1_symmetric=False)
+        super().__init__(model)
+        self.declared_v1_symmetric = False
         self.scale = float(scale)
         w = np.ones(model.m1)
         w[1::2] = self.scale
         self._weights = w
 
-    def norm_many(self, pts):
-        pts = self.model.conform(pts)
-        a = _sum_sq(self.model.v1(pts) * self._weights)
-        b = _sum_sq(self.model.v2(pts))
-        return (a * a + 16.0 * b) ** 0.25
+    def _v1_sum_sq(self, pts):
+        return _sum_sq(self.model.v1(pts) * self._weights)
 
     def block_radii(self):
         return np.array([1.0 / min(1.0, self._weights.min()), 0.25])
-
-    def vertical_reach(self, c):
-        """|x_1| <= r0 |W x_1| with equality along the least weighted axis, so
-        the Koranyi sup of |x_2| + c r0^2 |W x_1|^2 is the sup: hypot(1/4,
-        c r0^2)."""
-        return math.hypot(0.25, c * self.block_radii()[0] ** 2)
 
     def spec_string(self):
         return "aniso:scale=%g" % self.scale
@@ -622,7 +613,7 @@ def two_ball_gauge(
 
 
 @dataclass
-class ValidationReport:
+class ValidationReport(Record):
     """Sampled checks of the homogeneous-distance axioms for one gauge."""
 
     gauge: str
@@ -632,17 +623,6 @@ class ValidationReport:
     worst_violation: float
     witness: list | None
     passed: bool
-
-    def as_dict(self):
-        return {
-            "gauge": self.gauge,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "checks": self.checks,
-            "worst_violation": self.worst_violation,
-            "witness": self.witness,
-            "passed": self.passed,
-        }
 
 
 def sample_in_ball(gauge: Gauge, n: int, rng, radius: float = 1.0, max_rounds: int = 200):
@@ -724,7 +704,7 @@ def _check_entry(excess, tol, witnesses):
 
 
 @dataclass
-class DInfCalibration:
+class DInfCalibration(Record):
     """Outcome of the eps2 grid search; certification is by sampling only."""
 
     eps2: float
@@ -732,15 +712,6 @@ class DInfCalibration:
     passed: list
     certified: str = "sample"
     seed: int = 0
-
-    def as_dict(self):
-        return {
-            "eps2": self.eps2,
-            "grid": list(self.grid),
-            "passed": list(self.passed),
-            "certified": self.certified,
-            "seed": self.seed,
-        }
 
 
 def calibrate_dinfty(model: GroupModel, grid, samples: int = 20000, seed: int = 7) -> DInfCalibration:
@@ -779,37 +750,41 @@ def convexity_sample(gauge: Gauge, samples: int = 20000, seed: int = 7):
 # --- parsing -------------------------------------------------------------------
 
 
+# spec head: (constructor, its options with their defaults)
+_SPECS = {
+    "koranyi": (KoranyiGauge, {}),
+    "dinf": (DInfinityGauge, {"eps2": 1.0}),
+    "euclidean": (EuclideanGauge, {}),
+    "starball": (euclidean_ball_gauge, {"rho": 0.5}),
+    "twoball": (two_ball_gauge, {"r1": 1.0, "z1": -0.55, "r2": 0.5, "z2": 0.45}),
+    "aniso": (AnisotropicGauge, {"scale": 2.0}),
+}
+
+
 def parse_gauge(model: GroupModel, spec: str) -> Gauge:
     """Parse a gauge spec string.
 
     Accepted: 'koranyi', 'dinf:eps2=E', 'euclidean', 'starball:rho=R',
-    'twoball:r1=..,z1=..,r2=..,z2=..', 'aniso:scale=S'.
+    'twoball:r1=..,z1=..,r2=..,z2=..', 'aniso:scale=S'.  An option the gauge
+    does not take, or one given twice, is refused.
     """
     spec = spec.strip()
     head, _, rest = spec.partition(":")
+    if head not in _SPECS:
+        raise GaugeDefinitionError("unknown gauge spec %r" % spec)
+    make, defaults = _SPECS[head]
     kv = {}
     if rest:
         for item in rest.split(","):
             k, _, v = item.partition("=")
+            k = k.strip()
             if not v:
                 raise GaugeDefinitionError("malformed gauge option %r in %r" % (item, spec))
-            kv[k.strip()] = float(v)
-    if head == "koranyi":
-        return KoranyiGauge(model)
-    if head == "dinf":
-        return DInfinityGauge(model, eps2=kv.get("eps2", 1.0))
-    if head == "euclidean":
-        return EuclideanGauge(model)
-    if head == "starball":
-        return euclidean_ball_gauge(model, rho=kv.get("rho", 0.5))
-    if head == "twoball":
-        return two_ball_gauge(
-            model,
-            r1=kv.get("r1", 1.0),
-            z1=kv.get("z1", -0.55),
-            r2=kv.get("r2", 0.5),
-            z2=kv.get("z2", 0.45),
-        )
-    if head == "aniso":
-        return AnisotropicGauge(model, scale=kv.get("scale", 2.0))
-    raise GaugeDefinitionError("unknown gauge spec %r" % spec)
+            if k not in defaults:
+                raise GaugeDefinitionError(
+                    "unknown option %r for the %s gauge in %r (it takes %s)"
+                    % (k, head, spec, ", ".join(defaults) or "no options"))
+            if k in kv:
+                raise GaugeDefinitionError("gauge option %r given twice in %r" % (k, spec))
+            kv[k] = float(v)
+    return make(model, **{**defaults, **kv})

@@ -1,8 +1,14 @@
-"""Monte-Carlo plumbing: deterministic substreams, estimates, batched draws.
+"""Monte-Carlo plumbing: deterministic substreams, estimates, batched draws,
+and the JSON form of every result record.
 
 Every stochastic routine in the package draws from a generator keyed by
 (seed, *integer key path).  Results are therefore bit-identical for a given
 seed.
+
+Every result dataclass of the package subclasses ``Record``, whose
+``as_dict`` is the record's JSON form: each field by name, with nested
+records, sequences, arrays and dicts made plain.  A field added to a record
+is therefore in its JSON at once.
 
 The package's sampling kernel is ``box_batches``, uniform draws in an axis
 box in batches of BATCH rows, and ``box_blocks``, the same draws in
@@ -19,7 +25,7 @@ Koranyi and twoball on H^1 and Koranyi and starball on H^2 (see README,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,8 +39,29 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
+class Record:
+    """Base of the result dataclasses: as_dict() is every field by name."""
+
+    def as_dict(self):
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+
+
+def _plain(v):
+    """v with records as their as_dict(), tuples and arrays as lists, and
+    dicts and lists recursed into."""
+    if isinstance(v, Record):
+        return v.as_dict()
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    if isinstance(v, (tuple, list)):
+        return [_plain(x) for x in v]
+    if isinstance(v, dict):
+        return {k: _plain(x) for k, x in v.items()}
+    return v
+
+
 @dataclass(frozen=True)
-class Estimate:
+class Estimate(Record):
     """A Monte-Carlo point estimate with its standard error."""
 
     value: float
@@ -45,14 +72,6 @@ class Estimate:
     def __post_init__(self):
         if self.stderr < 0:
             raise ValueError("stderr must be nonnegative")
-
-    def as_dict(self):
-        return {
-            "value": self.value,
-            "stderr": self.stderr,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-        }
 
 
 def joint_stderr(*estimates) -> float:

@@ -34,7 +34,7 @@ import numpy as np
 from .exceptions import BracketError, ConformanceError, RegionError, RegularityError
 from .gauges import Gauge, _certified_roots, _halve_bracket, _sum_sq
 from .groups import GroupModel, embed_v1, frame_points, vertical_complement
-from .mc import Estimate, box_blocks, substream
+from .mc import Estimate, Record, box_blocks, substream
 
 FD_STEP = 1e-5
 GRAD_MIN = 1e-6
@@ -539,21 +539,12 @@ def _bisect(g, S, pos_hi):
 
 
 @dataclass(frozen=True)
-class PerimeterEstimate:
+class PerimeterEstimate(Record):
     center: np.ndarray
     radius: float
     value: Estimate
     failures: int = 0
     expansions: int = 0
-
-    def as_dict(self):
-        return {
-            "center": self.center.tolist(),
-            "radius": self.radius,
-            "value": self.value.as_dict(),
-            "failures": self.failures,
-            "expansions": self.expansions,
-        }
 
 
 def ratio_on_cloud(cloud: PatchCloud, gauge: Gauge, y, spec: SurfaceSpec):

@@ -16,15 +16,15 @@ import numpy as np
 from .beta import beta
 from .federer import DensitySchedule, default_schedule, federer_density
 from .gauges import Gauge, convexity_sample, sample_in_ball
-from .mc import joint_stderr, substream
+from .mc import Record, joint_stderr, substream
 from .slices import concavity_report, slice_profile
-from .surfaces import horizontal_normal, vertical_plane
+from .surfaces import vertical_plane
 
 PASS, FAIL, SKIPPED = "pass", "fail", "hypothesis-unmet"
 
 
 @dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     target: float
     observed: float
@@ -32,19 +32,9 @@ class CheckResult:
     passed: bool
     note: str = ""
 
-    def as_dict(self):
-        return {
-            "name": self.name,
-            "target": self.target,
-            "observed": self.observed,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "note": self.note,
-        }
-
 
 @dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     suite: str
     checks: tuple
     seed: int
@@ -56,14 +46,7 @@ class VerificationReport:
         return self.outcome != FAIL
 
     def as_dict(self):
-        return {
-            "suite": self.suite,
-            "checks": [c.as_dict() for c in self.checks],
-            "seed": self.seed,
-            "outcome": self.outcome,
-            "passed": self.passed,
-            "info": self.info,
-        }
+        return {**super().as_dict(), "passed": self.passed}
 
 
 def _finish(suite, checks, seed, info=None, hypothesis_met=True):
@@ -268,9 +251,8 @@ def blowup_suite(
     checks = []
     info = {"points": []}
     for spec in surfaces:
-        nu = horizontal_normal(spec, spec.x)
         rep = federer_density(spec, gauge, sched=sched)
-        b = beta(gauge, nu, n_samples=beta_samples, seed=seed, key=(17,))
+        b = beta(gauge, spec.nu0, n_samples=beta_samples, seed=seed, key=(17,))
         gap = abs(rep.extrapolated_theta.value - b.value.value)
         tol = max(rel_tol * abs(b.value.value), 3.0 * joint_stderr(rep.extrapolated_theta, b.value))
         checks.append(
@@ -298,7 +280,7 @@ def blowup_suite(
             "truncated": rep.truncated,
         }
         if gauge.declared_v1_symmetric:
-            entry["ball_constants"] = {"omega": b.omega, "c_qm1": b.c_qm1}
+            entry["ball_constants"] = {"omega": b.value.value, "c_qm1": b.c_qm1}
         info["points"].append(entry)
     return _finish("blowup", checks, seed, info)
 

@@ -12,9 +12,10 @@ def test_koranyi_beta_fast_path(koranyi):
     assert result.method == "convex_fast_path"
     assert result.argmax_t == 0.0
     assert abs(result.value.value - KORANYI_PSI0) <= 3.0 * result.value.stderr
-    # ball constants for Q = 4
-    assert result.omega == pytest.approx(result.value.value)
+    # ball constants for Q = 4: omega is beta itself
     assert result.c_qm1 == pytest.approx(result.value.value / 8.0)
+    assert result.as_dict()["spherical_constant"] == {
+        "omega": result.value.value, "c_qm1": result.c_qm1}
 
 
 def test_dinf_beta_is_rectangle_area(dinf2):

@@ -35,7 +35,7 @@ def test_koranyi_closed_form(koranyi):
     assert koranyi.norm([1.0, 0.0, 0.0]) == pytest.approx(1.0)
     assert koranyi.norm([0.0, 0.0, 1.0]) == pytest.approx(2.0)  # (16)^(1/4)
     assert koranyi.norm([0.0, 0.0, 0.0]) == 0.0
-    assert koranyi.r0 == pytest.approx(1.0, abs=1e-9)
+    assert koranyi._trace_radius(np.array([[1.0, 0.0]]))[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def _near_unit_quartic(model):
@@ -57,26 +57,31 @@ def _near_unit_quartic(model):
 @pytest.mark.parametrize("n", [1, 2])
 def test_koranyi_unit_ball_compares_the_quartic_bit_for_bit(n):
     model = heisenberg(n)
-    gauge = KoranyiGauge(model)
     near, quartic = _near_unit_quartic(model)
     ulps = np.concatenate([1.0 - np.arange(64, 0, -1) * 2.0**-53, 1.0 + np.arange(65) * 2.0**-52])
     assert np.isin(ulps, quartic).all()
     rng = substream(23, n)
     rand = random_points(model, rng, 20_000, scale=1.2)
-    for pts in (near, rand):
-        expected = gauge.norm_many(pts) <= 1.0
-        assert expected.any() and not expected.all()
-        for layout in (np.ascontiguousarray(pts), np.asfortranarray(pts)):
-            assert np.array_equal(gauge.in_ball(layout), expected)
-    for p in near[np.abs(quartic - 1.0) <= 4 * 2.0**-52]:
-        assert gauge.in_ball(p) == (gauge.norm_many(p) <= 1.0)
-    # other radii and centres keep the base class's answer
     z = random_points(model, rng, 1, scale=0.5)[0]
-    for pts in (rand, model.multiply(z, near)):
-        for radius in (1.0, 0.7):
-            for center in (None, z):
-                assert np.array_equal(gauge.in_ball(pts, radius, center),
-                                      Gauge.in_ball(gauge, pts, radius, center))
+    # aniso weighs the first layer and keeps x1 = (u, 0, ...) on the quartic
+    for gauge in (KoranyiGauge(model), AnisotropicGauge(model, 0.5), AnisotropicGauge(model, 2.0)):
+        w = getattr(gauge, "_weights", 1.0)
+        for pts in (near, rand):
+            a = _sum_sq(model.v1(pts) * w)
+            norm = (a * a + 16.0 * _sum_sq(model.v2(pts))) ** 0.25
+            assert np.array_equal(gauge.norm_many(pts), norm)
+            expected = norm <= 1.0
+            assert expected.any() and not expected.all()
+            for layout in (np.ascontiguousarray(pts), np.asfortranarray(pts)):
+                assert np.array_equal(gauge.in_ball(layout), expected)
+        for p in near[np.abs(quartic - 1.0) <= 4 * 2.0**-52]:
+            assert gauge.in_ball(p) == (gauge.norm_many(p) <= 1.0)
+        # other radii and centres keep the base class's answer
+        for pts in (rand, model.multiply(z, near)):
+            for radius in (1.0, 0.7):
+                for center in (None, z):
+                    assert np.array_equal(gauge.in_ball(pts, radius, center),
+                                          Gauge.in_ball(gauge, pts, radius, center))
 
 
 def test_distance_left_invariance_and_scaling(koranyi, h1):
@@ -452,6 +457,19 @@ def test_parse_gauge_specs(h1, r2):
     assert parse_gauge(h1, "aniso:scale=2").declared_v1_symmetric is False
     with pytest.raises(GaugeDefinitionError):
         parse_gauge(h1, "nosuch")
+
+
+@pytest.mark.parametrize("spec,named", [
+    ("starball:r=0.3", "rho"),
+    ("aniso:sacle=3", "scale"),
+    ("dinf:eps=2", "eps2"),
+    ("koranyi:scale=3", "no options"),
+    ("twoball:r1=1,z=0.2", "r1, z1, r2, z2"),
+    ("dinf:eps2=1,eps2=2", "twice"),
+])
+def test_parse_gauge_refuses_unknown_and_repeated_options(h1, spec, named):
+    with pytest.raises(GaugeDefinitionError, match=named):
+        parse_gauge(h1, spec)
 
 
 def test_anisotropic_is_even_but_stretched(h1):

@@ -1,9 +1,26 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
-from carnotperim import KoranyiGauge, heisenberg, slice_area
+from carnotperim import (
+    BetaResult,
+    DInfinityGauge,
+    KoranyiGauge,
+    VerificationReport,
+    beta_constancy,
+    calibrate_dinfty,
+    convexity_check,
+    default_schedule,
+    federer_density,
+    heisenberg,
+    perimeter_ball,
+    slice_area,
+    validate,
+    vertical_plane,
+)
 from carnotperim import mc
 from carnotperim.groups import direction, vertical_complement
 
@@ -87,3 +104,66 @@ def test_slice_area_hands_cache_sized_column_major_blocks(monkeypatch):
     slice_area(gauge, [1.0, 0.0], 0.3, 150_000, seed=7)
     assert sum(rows for rows, _ in seen) == 150_000
     assert all(rows <= mc.BLOCK and f_order for rows, f_order in seen)
+
+
+@pytest.fixture(scope="module")
+def records():
+    """One instance of every result record, from small runs on H^1."""
+    model = heisenberg(1)
+    gauge = KoranyiGauge(model)
+    plane = vertical_plane(model, [1.0, 0.0])
+    density = federer_density(plane, gauge, sched=default_schedule(0.4, 1, 4000, seed=7))
+    constancy = beta_constancy(gauge, 2, n_samples=2000)
+    report = convexity_check(gauge, 500)
+    return [
+        constancy.results[0].value, report.checks[0], report,
+        validate(DInfinityGauge(model, 1000.0), 200),  # failing, with a witness
+        calibrate_dinfty(model, [1.0, 0.5], samples=200),
+        constancy.results[0], constancy,
+        perimeter_ball(plane, gauge, plane.x, 0.2, 4000),
+        density.records[0], density,
+    ]
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+# record type: (fields its as_dict drops, keys it adds)
+_OVERRIDES = {BetaResult: ({"c_qm1"}, {"spherical_constant"}),
+              VerificationReport: (set(), {"passed"})}
+
+
+def test_every_record_is_its_fields_by_name(records):
+    package = {c for c in _subclasses(mc.Record) if c.__module__.startswith("carnotperim.")}
+    assert {type(r) for r in records} == package and len(package) == 10
+    for r in records:
+        d = r.as_dict()
+        dropped, added = _OVERRIDES.get(type(r), (set(), set()))
+        assert set(d) == {f.name for f in dataclasses.fields(r)} - dropped | added
+        assert json.loads(json.dumps(d)) == d  # plain lists and dicts only
+    beta_result = records[5]
+    assert beta_result.as_dict()["spherical_constant"] == {
+        "omega": beta_result.value.value, "c_qm1": beta_result.c_qm1}
+    assert records[2].as_dict()["passed"] is records[2].passed
+
+
+def test_record_makes_nested_values_plain():
+    @dataclasses.dataclass(frozen=True)
+    class Nested(mc.Record):
+        est: mc.Estimate
+        pair: tuple
+        arr: np.ndarray
+        table: dict
+
+    est = mc.Estimate(0.5, 0.25, 4, 7)
+    rec = Nested(est, ((1, 2), np.arange(2.0)), np.eye(2), {"a": (est,), "b": [np.float64(3.0)]})
+    plain = {"value": 0.5, "stderr": 0.25, "n_samples": 4, "seed": 7}
+    assert rec.as_dict() == {
+        "est": plain,
+        "pair": [[1, 2], [0.0, 1.0]],
+        "arr": [[1.0, 0.0], [0.0, 1.0]],
+        "table": {"a": [plain], "b": [3.0]},
+    }
