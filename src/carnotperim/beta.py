@@ -22,6 +22,9 @@ from .groups import direction
 from .mc import Estimate, Record, joint_stderr, substream
 from .slices import DEFAULT_GRID, DEFAULT_SAMPLES, slice_area, slice_profile
 
+REFINE_EVALS = 24  # slice estimates of the golden-section refine
+CONVEXITY_SAMPLES = 20000  # midpoint samples that gate the convex fast path
+
 
 @dataclass(frozen=True)
 class BetaResult(Record):
@@ -46,8 +49,6 @@ def beta(
     grid_size: int = DEFAULT_GRID,
     seed: int = 7,
     key: tuple = (),
-    refine_evals: int = 24,
-    convexity_samples: int = 20000,
 ) -> BetaResult:
     """Estimate beta(d, nu) = max_t psi(t; nu).
 
@@ -61,7 +62,7 @@ def beta(
     nu = direction(model, nu)
 
     if gauge.declared_convex:
-        nviol, _, _ = convexity_sample(gauge, convexity_samples, seed=_mix(seed, key, 101))
+        nviol, _, _ = convexity_sample(gauge, CONVEXITY_SAMPLES, seed=_mix(seed, key, 101))
         if nviol == 0:
             est = slice_area(gauge, nu, 0.0, n_samples, seed=seed, key=key + (0,))
             return _result(model, nu, est, 0.0, "convex_fast_path")
@@ -76,7 +77,7 @@ def beta(
     lo = float(profile.grid[max(best - 1, 0)])
     hi = float(profile.grid[min(best + 1, len(vals) - 1)])
     if _locally_unimodal(vals, errs, best):
-        t_best = _golden_refine(gauge, nu, lo, hi, n_samples, _mix(seed, key, 303), refine_evals)
+        t_best = _golden_refine(gauge, nu, lo, hi, n_samples, _mix(seed, key, 303), REFINE_EVALS)
     else:
         t_best = _grid_halving(gauge, nu, lo, hi, n_samples, _mix(seed, key, 404), rounds=3)
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from .exceptions import RegionError
 from .gauges import Gauge
-from .groups import Point, embed_v1
+from .groups import embed_v1
 from .mc import Estimate, Record
 from .surfaces import SurfaceSpec, ratio_on_cloud, sample_patch
 
@@ -109,20 +109,16 @@ class DensityReport(Record):
 def federer_density(
     spec: SurfaceSpec,
     gauge: Gauge,
-    x: Point | None = None,
     sched: DensitySchedule | None = None,
 ) -> DensityReport:
     """Off-centered blow-up density of the surface perimeter at spec.x.
 
     Radii whose patch is refused (RegionError) are skipped and the report is
     flagged truncated; the run raises RegionError only when every radius is
-    refused.  x, when given, must be the surface's base point; the centred
-    density is the report's centered_extrapolated.
+    refused.  The centred density is the report's centered_extrapolated.
     """
     if sched is None:
         sched = default_schedule()
-    if x is not None and not np.allclose(np.asarray(x, float), spec.x, atol=1e-9):
-        raise ValueError("the graph parametrization is anchored at its base point")
     e1 = embed_v1(spec.model, spec.nu0)
     unit = e1 / gauge.norm(e1)
 

@@ -249,6 +249,39 @@ def frame_points(frame, coord_rows, offset, out):
     return out
 
 
+# --- the chart of a vertical hyperplane -------------------------------------
+#
+# N(nu) = nu-perp + V2 has chart coordinates (m1-1 + m2 of them): first the
+# coefficients on a frame of nu-perp (rows of vertical_complement), then the
+# vertical block as it is.  Slices sample its translates t nu + N(nu), and
+# blow-ups parametrise a surface as a graph over N(nu0).
+
+
+def plane_points(model: GroupModel, frame, coords, offset) -> Point:
+    """The points offset + (sum_j coords[:, j] frame[j], coords[:, m1-1:])
+    of the plane, for (k, m1-1 + m2) chart coordinates and a first-layer
+    offset (t nu for a slice, zeros for N itself).
+
+    The points come back column-major, as the .T view of an (n, k) array,
+    so every coordinate is one contiguous run; the first layer is
+    frame_points (index order, no -0.0) and the vertical rows are copied.
+    """
+    cols = coords.T
+    pts = np.empty((model.n, len(coords)))
+    frame_points(frame, cols, offset, pts[: model.m1])
+    pts[model.m1 :] = cols[model.m1 - 1 :]
+    return pts.T
+
+
+def plane_blocks(model: GroupModel, horizontal, vertical) -> np.ndarray:
+    """The (m1-1 + m2,) chart vector holding horizontal in every nu-perp
+    coordinate and vertical in every V2 one (which an abelian model lacks)."""
+    out = np.empty(model.n - 1)
+    out[: model.m1 - 1] = horizontal
+    out[model.m1 - 1 :] = vertical
+    return out
+
+
 # --- model catalog and parsing ---------------------------------------------
 
 

@@ -17,12 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gauges import Gauge
-from .groups import direction, frame_points, vertical_complement
+from .groups import direction, plane_blocks, plane_points, vertical_complement
 from .mc import Estimate, hit_or_miss, substream
 
 DEFAULT_GRID = 41
 DEFAULT_SAMPLES = 100_000
 OFF_AXIS_PROBES = 1024
+SUPPORT_TOL = 1e-9  # relative width at which support_radius's bisections stop
 
 
 @dataclass(frozen=True)
@@ -44,38 +45,15 @@ class SliceProfile:
 
 
 def _slice_box(gauge: Gauge, t: float):
-    """Halfwidths of the sampling box for the slice at offset t.
-
-    Coordinates on the hyperplane are (m1-1) first-layer components in the
-    nu-perp frame followed by the m2 vertical components.  Returns None for
-    an empty box (slice beyond the horizontal projection radius).
+    """Halfwidths of the sampling box for the slice at offset t, in the
+    chart of groups.plane_points.  Returns None for an empty box (slice
+    beyond the horizontal projection radius).
     """
     radii = gauge.block_radii()
     s2 = radii[0] ** 2 - t * t
     if s2 <= 0.0:
         return None
-    model = gauge.model
-    hw = np.empty(model.n - 1)
-    hw[: model.m1 - 1] = np.sqrt(s2)
-    if model.m2:
-        hw[model.m1 - 1 :] = radii[1]
-    return hw
-
-
-def _slice_points(gauge, nu, perp, t, coords):
-    """Embed hyperplane coordinates as ambient points t*nu + s + u.
-
-    The points come back column-major, as the .T view of an (n, k) array,
-    so every coordinate is one contiguous run for the gauge.  The first
-    layer is groups.frame_points of perp, added in index order.
-    """
-    model = gauge.model
-    cols = coords.T
-    pts = np.empty((model.n, coords.shape[0]))
-    frame_points(perp, cols, t * nu, pts[: model.m1])
-    if model.m2:
-        pts[model.m1 :] = cols[model.m1 - 1 :]
-    return pts.T
+    return plane_blocks(gauge.model, np.sqrt(s2), radii[-1])
 
 
 def slice_area(
@@ -102,7 +80,7 @@ def slice_area(
     perp = vertical_complement(model, nu)
 
     def inside(coords):
-        return gauge.in_ball(_slice_points(gauge, nu, perp, t, coords))
+        return gauge.in_ball(plane_points(model, perp, coords, t * nu))
 
     return hit_or_miss(hw, inside, n_samples, seed, key)
 
@@ -131,19 +109,17 @@ def slice_area_at_center(
     z = model.conform(z)
     perp = vertical_complement(model, nu)
     radii = gauge.block_radii()
-    hw = np.empty(model.n - 1)
-    hw[: model.m1 - 1] = radii[0] + np.linalg.norm(model.v1(z))
-    if model.m2:
-        z2 = np.linalg.norm(model.v2(z))
-        hw[model.m1 - 1 :] = radii[1] + z2 + 0.5 * model.ad_norm(model.v1(z)) * radii[0]
+    z2 = np.linalg.norm(model.v2(z))
+    hw = plane_blocks(model, radii[0] + np.linalg.norm(model.v1(z)),
+                      radii[-1] + z2 + 0.5 * model.ad_norm(model.v1(z)) * radii[0])
 
     def inside(coords):
-        return gauge.in_ball(_slice_points(gauge, nu, perp, 0.0, coords), radius=1.0, center=z)
+        return gauge.in_ball(plane_points(model, perp, coords, 0.0 * nu), radius=1.0, center=z)
 
     return hit_or_miss(hw, inside, n_samples, seed, key)
 
 
-def support_radius(gauge: Gauge, nu, seed: int = 7, rel_tol: float = 1e-9) -> float:
+def support_radius(gauge: Gauge, nu, seed: int = 7) -> float:
     """Largest |t| with a nonempty slice, located by bisection on emptiness.
 
     Emptiness of the slice at t is probed on the slice center, a seeded
@@ -163,41 +139,36 @@ def support_radius(gauge: Gauge, nu, seed: int = 7, rel_tol: float = 1e-9) -> fl
     perp = vertical_complement(model, nu)
     radii = gauge.block_radii()
     top = float(radii[0]) * (1.0 + 1e-9)
-    probes = [np.zeros((1, model.n - 1))]
+    # the vertical cloud is the centre again on an abelian model
+    vertical = substream(seed, 999).uniform(-1.0, 1.0, size=(128, model.n - 1))
+    vertical *= plane_blocks(model, 0.0, radii[-1])
     off_axis = substream(seed, 998).uniform(-1.0, 1.0, size=(OFF_AXIS_PROBES, model.n - 1))
-    off_axis[:, : model.m1 - 1] *= radii[0]
-    if model.m2:
-        rng = substream(seed, 999)
-        vertical = rng.uniform(-1.0, 1.0, size=(128, model.n - 1))
-        vertical[:, : model.m1 - 1] = 0.0
-        vertical[:, model.m1 - 1 :] *= radii[1]
-        probes.append(vertical)
-        off_axis[:, model.m1 - 1 :] *= radii[1]
-        off_axis[: OFF_AXIS_PROBES // 2, model.m1 - 1 :] = 0.0
-    cloud = np.vstack(probes + [off_axis])
+    off_axis *= plane_blocks(model, radii[0], radii[-1])
+    off_axis[: OFF_AXIS_PROBES // 2, model.m1 - 1 :] = 0.0
+    cloud = np.vstack([np.zeros((1, model.n - 1)), vertical, off_axis])
 
     def nonempty(t):
-        return bool(gauge.in_ball(_slice_points(gauge, nu, perp, t, cloud)).any())
+        return bool(gauge.in_ball(plane_points(model, perp, cloud, t * nu)).any())
 
     if not nonempty(0.0):
         return 0.0
-    lo, hi = _bisect(nonempty, 0.0, top, rel_tol)
+    lo, hi = _bisect(nonempty, 0.0, top)
     if lo > 0.0 and model.n > 1:  # on R^1 the slice is the one point t*nu
         # slice coordinates scale like the dilation weights (1 horizontal, 2 vertical)
         weights = model.dilation_weights[1:]
-        witnesses = cloud[gauge.in_ball(_slice_points(gauge, nu, perp, lo, cloud))]
+        witnesses = cloud[gauge.in_ball(plane_points(model, perp, cloud, lo * nu))]
         ray = _refined_probe(gauge, nu, perp, witnesses / lo**weights)
 
         def on_ray(t):
-            return bool(gauge.in_ball(_slice_points(gauge, nu, perp, t, ray * t**weights))[0])
+            return bool(gauge.in_ball(plane_points(model, perp, ray * t**weights, t * nu))[0])
 
         beyond = hi + gauge.norm_tolerance(hi)
         if on_ray(beyond):
-            lo, hi = _bisect(on_ray, beyond, top, rel_tol)
+            lo, hi = _bisect(on_ray, beyond, top)
     return 0.5 * (lo + hi)
 
 
-def _bisect(pred, lo, hi, rel_tol):
+def _bisect(pred, lo, hi):
     """Shrink [lo, hi] around the point where pred turns false, pred(lo) true."""
     for _ in range(80):
         mid = 0.5 * (lo + hi)
@@ -205,7 +176,7 @@ def _bisect(pred, lo, hi, rel_tol):
             lo = mid
         else:
             hi = mid
-        if hi - lo <= rel_tol * max(1.0, hi):
+        if hi - lo <= SUPPORT_TOL * max(1.0, hi):
             break
     return lo, hi
 
@@ -221,14 +192,13 @@ def _refined_probe(gauge, nu, perp, coords):
     model = gauge.model
 
     def norms(c):
-        return gauge.norm_many(_slice_points(gauge, nu, perp, 1.0, c))
+        return gauge.norm_many(plane_points(model, perp, c, nu))
 
     f = norms(coords)
     best = int(np.argmin(f))
     x, fx = coords[best], f[best]
     radii = gauge.block_radii()
-    scale = np.full(model.n - 1, float(radii[0]))
-    scale[model.m1 - 1 :] = radii[-1]
+    scale = plane_blocks(model, radii[0], radii[-1])
     moves = np.vstack([np.diag(scale), -np.diag(scale)])
     step = 1.0
     while step > 1e-6:

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import BracketError, ConformanceError, RegionError, RegularityError
-from .gauges import Gauge, _certified_roots, _halve_bracket, _sum_sq
-from .groups import GroupModel, embed_v1, frame_points, vertical_complement
+from .gauges import Gauge, _bisect, _certified_roots, _sum_sq
+from .groups import GroupModel, embed_v1, plane_blocks, plane_points, vertical_complement
 from .mc import Estimate, Record, box_blocks, substream
 
 FD_STEP = 1e-5
@@ -53,6 +53,7 @@ CERT_ITERS = 10
 CERT_WIDTH = 2.0**-40  # certificate half-width, relative to the bracket's
 HEIGHT_BLOCK = 1 << 13  # rows per cloud block: its arrays stay in cache and off the peak
 FAIL_FRACTION = 1e-3
+WORKING_PROBES = 64  # samples of _check_working_box
 SCORE_SLACK = 1e-9
 SCORE_BLOCK = 1 << 15  # window rows translated and tested at a time
 
@@ -84,17 +85,6 @@ class SurfaceSpec:
 
     def grad_many(self, pts):
         return np.asarray(self.grad_h(self.model.conform(pts)), dtype=float)
-
-    def embed_parameters(self, coords):
-        """Embed (k, m1-1 + m2) parameter coordinates as k points of N,
-        column-major; the first layer is groups.frame_points of the frame,
-        added in index order (as in slices._slice_points)."""
-        model = self.model
-        out = np.empty((len(coords), model.n), order="F")
-        frame_points(self.frame_perp, coords.T, np.zeros(model.m1), out.T[: model.m1])
-        if model.m2:
-            out[:, model.m1 :] = coords[:, model.m1 - 1 :]
-        return out
 
 
 def grad_h_fd(model: GroupModel, f, pts, step: float = FD_STEP):
@@ -158,18 +148,16 @@ def _richardson_check(model, f, x, step: float = FD_STEP):
         )
 
 
-def _check_working_box(spec: SurfaceSpec, n_probe: int = 64):
+def _check_working_box(spec: SurfaceSpec):
     """Sampled regularity on the working box: |grad| bounded below and the
     e1-component positive, so graph heights are unique there."""
     model = spec.model
     rng = substream(20620, 0)
     wr = spec.working_radius
-    coords = rng.uniform(-1.0, 1.0, size=(n_probe, model.n - 1))
-    coords[:, : model.m1 - 1] *= wr
-    if model.m2:
-        coords[:, model.m1 - 1 :] *= wr * wr
-    eta = spec.embed_parameters(coords)
-    s = rng.uniform(-wr, wr, size=n_probe)
+    coords = rng.uniform(-1.0, 1.0, size=(WORKING_PROBES, model.n - 1))
+    coords *= plane_blocks(model, wr, wr * wr)
+    eta = plane_points(model, spec.frame_perp, coords, np.zeros(model.m1))
+    s = rng.uniform(-wr, wr, size=WORKING_PROBES)
     e1 = embed_v1(model, spec.nu0)
     pts = model.multiply(model.multiply(spec.x, eta), s[:, None] * e1)
     grads = spec.grad_many(pts)
@@ -272,12 +260,8 @@ def _reach_bounds(spec: SurfaceSpec, gauge: Gauge, reach: float):
     gauge.vertical_reach(c).
     """
     model = spec.model
-    h = reach * gauge.block_radii()[0]
-    out = np.empty(model.n - 1)
-    out[: model.m1 - 1] = h
-    if model.m2:
-        out[model.m1 - 1 :] = reach**2 * gauge.vertical_reach(0.25 * model.ad_norm(spec.nu0))
-    return out
+    return plane_blocks(model, reach * gauge.block_radii()[0],
+                        reach**2 * gauge.vertical_reach(0.25 * model.ad_norm(spec.nu0)))
 
 
 def sample_patch(
@@ -329,12 +313,8 @@ def sample_patch(
         if not touched.any():
             break
         # grow only the touched blocks so benign directions stay tight
-        s_block = touched[: model.m1 - 1].any()
-        u_block = touched[model.m1 - 1 :].any()
-        if s_block:
-            slack[: model.m1 - 1] *= BOX_GROWTH
-        if u_block:
-            slack[model.m1 - 1 :] *= BOX_GROWTH
+        slack *= plane_blocks(model, BOX_GROWTH if touched[: model.m1 - 1].any() else 1.0,
+                              BOX_GROWTH if touched[model.m1 - 1 :].any() else 1.0)
         expansions += 1
     else:
         raise RegionError("parameter box did not stabilize after %d expansions" % MAX_BOX_ATTEMPTS)
@@ -405,12 +385,13 @@ def _draw_cloud(spec, gauge, t, n_samples, hw, bounds, reach, seed, key):
     """
     model = spec.model
     e1 = embed_v1(model, spec.nu0)
+    origin = np.zeros(model.m1)
     shell = np.zeros(model.n - 1)
     points = _mapped_columns(n_samples, model.n)
     alpha = np.empty(n_samples)
     kept = relevant = failures = degenerate = 0
     for eta in box_blocks(hw, n_samples, seed, key, HEIGHT_BLOCK):
-        base = model.multiply(spec.x, spec.embed_parameters(eta))
+        base = model.multiply(spec.x, plane_points(model, spec.frame_perp, eta, origin))
         phi, found = _graph_heights(spec, base, BRACKET_FACTOR * t)
         step = np.empty(base.shape, order="F")
         np.multiply.outer(phi, e1, out=step)
@@ -504,7 +485,8 @@ def _graph_heights(spec, base, half_width, doublings=BRACKET_DOUBLINGS):
     phi = _certified_roots(rising, -S, S.copy(), glo, ghi, CERT_WIDTH * S, CERT_ITERS, pending)
     rows = np.flatnonzero(pending)
     if len(rows):  # gathered: the fallback costs only the rows that need it
-        phi[rows] = _bisect(_line(spec, cols[:, rows], slope2[:, rows]), S[rows], pos_hi[rows])
+        g, up = _line(spec, cols[:, rows], slope2[:, rows]), pos_hi[rows]
+        phi[rows] = _bisect(lambda mid: (g(mid) > 0.0) == up, -S[rows], S[rows], BISECT_ITERS)
     return phi, ~no_flip
 
 
@@ -522,17 +504,6 @@ def _line(spec, cols, slope2):
         return spec.f_many(pts.T)
 
     return g
-
-
-def _bisect(g, S, pos_hi):
-    """BISECT_ITERS bisection steps for g's sign change on [-S, S]; g rises
-    where pos_hi, falls elsewhere."""
-    lo, hi, mid = -S, S, np.empty(len(S))  # updated in place
-    for _ in range(BISECT_ITERS):
-        np.add(lo, hi, out=mid)
-        mid *= 0.5
-        _halve_bracket(lo, hi, mid, (g(mid) > 0.0) == pos_hi)
-    return 0.5 * (lo + hi)
 
 
 # --- perimeter of balls ----------------------------------------------------------

@@ -187,19 +187,19 @@ def busemann_suite(
     grid_size: int = _PROFILE_GRID,
     n_samples: int = 100_000,
     seed: int = 7,
+    convexity: VerificationReport | None = None,
 ) -> VerificationReport:
     """Concavity of the profile^(1/(n-1)) plus the central-slice maximum.
 
     Applies to convex unit balls; when the convexity sampler fails the suite
     reports hypothesis-unmet and its checks are informational only.
+    convexity is that sampler's report, convexity_check at min(n_samples,
+    _BUSEMANN_CONVEXITY_SAMPLES) samples and this seed; it is run here
+    unless given (run_all passes the one it already has).
     """
-    conv = convexity_check(gauge, min(n_samples, _BUSEMANN_CONVEXITY_SAMPLES), seed)
-    return _busemann_report(conv, gauge, nu, grid_size, n_samples, seed)
-
-
-def _busemann_report(conv, gauge, nu, grid_size, n_samples, seed):
-    """busemann_suite given its convexity report, conv."""
-    hypothesis_met = conv.outcome == PASS
+    if convexity is None:
+        convexity = convexity_check(gauge, min(n_samples, _BUSEMANN_CONVEXITY_SAMPLES), seed)
+    hypothesis_met = convexity.outcome == PASS
 
     profile = slice_profile(gauge, nu, grid_size, n_samples, seed=seed)
     rep = concavity_report(profile)
@@ -224,7 +224,7 @@ def _busemann_report(conv, gauge, nu, grid_size, n_samples, seed):
         "support": profile.support,
         "worst_concavity_margin": rep.worst_margin,
         "beta": b.value.as_dict(),
-        "convexity_outcome": conv.outcome,
+        "convexity_outcome": convexity.outcome,
     }
     return _finish("busemann", checks, seed, info, hypothesis_met)
 
@@ -300,14 +300,12 @@ def run_all(
     nu = np.zeros(model.m1)
     nu[0] = 1.0
     conv = convexity_check(gauge, samples, seed)
-    busemann_conv = conv  # the busemann suite's own check, unless its size differs
-    if min(profile_samples, _BUSEMANN_CONVEXITY_SAMPLES) != samples:
-        busemann_conv = convexity_check(
-            gauge, min(profile_samples, _BUSEMANN_CONVEXITY_SAMPLES), seed)
+    # the busemann suite runs its own convexity check unless it is this one
+    shared = conv if min(profile_samples, _BUSEMANN_CONVEXITY_SAMPLES) == samples else None
     reports = [
         conv,
         symmetry_check(gauge, samples=samples, seed=seed),
-        _busemann_report(busemann_conv, gauge, nu, _PROFILE_GRID, profile_samples, seed),
+        busemann_suite(gauge, nu, n_samples=profile_samples, seed=seed, convexity=shared),
     ]
     if model.step == 2:
         if blowup_sched is None:

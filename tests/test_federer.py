@@ -3,6 +3,7 @@ import pytest
 
 from carnotperim import (
     DensitySchedule,
+    EuclideanGauge,
     beta,
     default_schedule,
     federer_density,
@@ -171,10 +172,16 @@ def test_density_determinism(h1, koranyi):
     assert [r.ratio for r in a.records] == [r.ratio for r in b.records]
 
 
-def test_anchor_point_enforced(h1, koranyi):
-    plane = vertical_plane(h1, [1.0, 0.0])
-    with pytest.raises(ValueError):
-        federer_density(plane, koranyi, x=np.array([0.0, 0.3, 0.0]), sched=small_sched())
+def test_abelian_blowup_reads_the_unit_discs_chord(r2):
+    # on R^2 a line through the centre of the unit disc cuts a chord of
+    # length 2, so theta -> 2; the chart and the reach bounds have no
+    # vertical block here
+    plane = vertical_plane(r2, [1.0, 0.0])
+    rep = federer_density(plane, EuclideanGauge(r2), sched=default_schedule(0.4, 6, 20_000, seed=7))
+    assert not rep.truncated
+    assert all(r.expansions == 0 and r.failures == 0 for r in rep.records)
+    theta = rep.extrapolated_theta
+    assert abs(theta.value - 2.0) <= 3.0 * theta.stderr
 
 
 def test_scoring_gauge_sees_under_a_tenth_of_the_cloud(h1, koranyi, monkeypatch):

@@ -459,6 +459,13 @@ def test_parse_gauge_specs(h1, r2):
         parse_gauge(h1, "nosuch")
 
 
+@pytest.mark.parametrize("scale", [0.5, 0.8, 1.0, 2.0])
+def test_aniso_is_declared_a_distance_from_scale_one(h1, scale):
+    # validate at seed 3 and 100k samples finds triangle violations up to
+    # scale 0.8 and none from 0.85 on
+    assert parse_gauge(h1, "aniso:scale=%g" % scale).declared_distance is (scale >= 1.0)
+
+
 @pytest.mark.parametrize("spec,named", [
     ("starball:r=0.3", "rho"),
     ("aniso:sacle=3", "scale"),

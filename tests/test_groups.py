@@ -12,7 +12,14 @@ from carnotperim import (
     heisenberg,
     parse_group,
 )
-from carnotperim.groups import GroupModel, embed_v1, vertical_complement
+from carnotperim.groups import (
+    GroupModel,
+    embed_v1,
+    plane_blocks,
+    plane_points,
+    vertical_complement,
+)
+from carnotperim.mc import substream
 
 from conftest import random_points
 
@@ -235,6 +242,77 @@ def test_vertical_complement(h1):
         assert perp.shape == (1, 2)
         assert abs(perp[0] @ nu) < 1e-14
         assert np.linalg.norm(perp[0]) == pytest.approx(1.0)
+
+
+# --- the chart of a vertical hyperplane ---------------------------------------------
+
+# first-layer offsets: a slice passes t nu, a blow-up zeros (None)
+PLANE_OFFSETS = [0.0, 0.3, -0.3, -0.0, None]
+
+
+def plane_case(model, nu, t, k, seed):
+    """(frame, offset, chart coordinates) with signed zeros, also in the
+    vertical block, and tiny and huge first frame coordinates."""
+    nu = direction(model, nu)
+    offset = np.zeros(model.m1) if t is None else t * nu
+    coords = substream(seed).uniform(-1.0, 1.0, (k, model.n - 1))
+    coords[:3, : model.m1 - 1] = -0.0  # signed zero products
+    coords[1, 0] = 0.0
+    coords[2, model.m1 - 1 :] = -0.0
+    coords[3::5, 0] *= 1e-300
+    coords[4::5, 0] *= 1e300
+    return vertical_complement(model, nu), offset, coords
+
+
+# the frames of slices along these normals and of the vplane and tplane blow-ups
+@pytest.mark.parametrize("nu", [[1.0, 0.0], [0.0, -1.0], [0.6, -0.8], [-1.0, 3.0],
+                                [-1.0, 0.0], [0.0, 1.0]])
+@pytest.mark.parametrize("t", PLANE_OFFSETS)
+def test_h1_plane_points_keep_the_matmul_bits(h1, nu, t):
+    frame, offset, coords = plane_case(h1, nu, t, 8192, 3)
+    cols = np.asfortranarray(coords).T
+    want = np.empty((h1.n, len(coords)))
+    np.matmul(frame.T, cols[:1], out=want[:2])
+    want[:2] += offset[:, None]
+    want[2:] = cols[1:]
+    for layout in (np.ascontiguousarray(coords), np.asfortranarray(coords)):
+        got = plane_points(h1, frame, layout, offset)
+        assert got.flags.f_contiguous
+        assert np.array_equal(got.view(np.int64), want.T.view(np.int64))
+
+
+@pytest.mark.parametrize("group, nu", [
+    ("h2", [0.3, -1.0, 0.5, 0.2]), ("h2", [1.0, 1.0, 0.0, 0.0]), ("h2", [0.0, 0.0, -1.0, 0.0]),
+    ("h2", [0.0, 1.0, 0.0, 0.0]), ("h1", [0.6, -0.8]),
+])
+@pytest.mark.parametrize("t", PLANE_OFFSETS)
+def test_plane_points_are_the_index_order_sum_in_both_layouts(request, group, nu, t):
+    model = request.getfixturevalue(group)
+    frame, offset, coords = plane_case(model, nu, t, 5000, 4)
+    # offset + 0.0 plus each frame row's product, added one at a time
+    want = np.broadcast_to((offset + 0.0)[:, None], (model.m1, len(coords))).copy()
+    for j in range(len(frame)):
+        want = want + frame[j][:, None] * coords[:, j]
+    for layout in (np.ascontiguousarray(coords), np.asfortranarray(coords)):
+        got = plane_points(model, frame, layout, offset)
+        assert got.flags.f_contiguous
+        assert np.array_equal(got[:, : model.m1].view(np.int64), want.T.view(np.int64))
+        assert np.array_equal(got[:, model.m1 :].view(np.int64),
+                              coords[:, model.m1 - 1 :].view(np.int64))
+
+
+def test_plane_points_on_a_one_dimensional_first_layer():
+    # R^1 has no nu-perp: every slice point is t nu
+    model = parse_group("abelian:1")
+    nu = direction(model, [-1.0])
+    got = plane_points(model, vertical_complement(model, nu), np.empty((7, 0)), 0.25 * nu)
+    assert np.array_equal(got, np.full((7, 1), -0.25))
+
+
+def test_plane_blocks_fill_each_layer(h2):
+    assert plane_blocks(h2, 0.5, 2.0).tolist() == [0.5, 0.5, 0.5, 2.0]
+    # an abelian model has no vertical coordinate
+    assert plane_blocks(abelian(3), 0.5, 2.0).tolist() == [0.5, 0.5]
 
 
 def test_conformance_and_model_errors(h1):

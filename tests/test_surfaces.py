@@ -21,7 +21,7 @@ from carnotperim import (
     slice_area,
     vertical_plane,
 )
-from carnotperim.groups import embed_v1, heisenberg
+from carnotperim.groups import embed_v1, heisenberg, plane_points
 from carnotperim.mc import joint_stderr
 from carnotperim.mc import box_batches
 from carnotperim.surfaces import (
@@ -44,6 +44,10 @@ from carnotperim.surfaces import (
     sample_patch,
 )
 
+
+def embed_chart(spec, coords):
+    """Chart coordinates as points of the surface's parameter plane N."""
+    return plane_points(spec.model, spec.frame_perp, coords, np.zeros(spec.model.m1))
 
 
 def fd_oracle(model, f, p, h=1e-6):
@@ -235,7 +239,7 @@ def multiply_line_heights(spec, base, half_width):
 def test_graph_heights_on_affine_line_are_bitwise(h1, surface):
     spec = parse_surface(h1, surface)
     coords = np.random.default_rng(33).uniform(-0.5, 0.5, size=(4000, h1.n - 1))
-    base = h1.multiply(spec.x, spec.embed_parameters(coords))
+    base = h1.multiply(spec.x, embed_chart(spec, coords))
     phi, bracketed = _graph_heights(spec, base, 0.4, doublings=0)
     ref_phi, ref_bracketed = multiply_line_heights(spec, base, 0.4)
     assert 0 < bracketed.sum() <= len(base)
@@ -279,7 +283,7 @@ HEIGHT_SURFACES = {
 
 def height_bases(model, spec, k):
     coords = np.random.default_rng(k).uniform(-0.5, 0.5, size=(k, model.n - 1))
-    return model.multiply(spec.x, spec.embed_parameters(coords))
+    return model.multiply(spec.x, embed_chart(spec, coords))
 
 
 @pytest.mark.parametrize("k", [1, 4097, 65536])
@@ -388,41 +392,6 @@ def test_blowup_kernels_see_column_major_layouts(h1):
         # the points on the graph keep the blocks' layout: the gradient and
         # the reach test read them column by column too
         assert set(grad_layouts) == set(reach_layouts) == {((k, h1.n), True) for k in blocks}
-
-
-@pytest.mark.parametrize("surface", ["tplane", "vplane:nu=1,0", "vplane:nu=0.6,-0.8",
-                                     "vplane:nu=-1,0", "vplane:nu=0,1"])
-def test_embed_parameters_on_h1_is_the_matmul_bit_for_bit(h1, surface):
-    spec = parse_surface(h1, surface)
-    coords = np.random.default_rng(41).uniform(-1.0, 1.0, size=(5000, h1.n - 1))
-    coords[::5, 0] = -0.0
-    coords[1::5, 0] = 0.0
-    coords[2::5, 0] *= 1e-300
-    coords[3::5, 0] *= 1e300
-    for layout in (coords, np.asfortranarray(coords)):
-        want = np.zeros((len(coords), h1.n), order="F")
-        want[:, :2] = layout[:, :1] @ spec.frame_perp
-        want[:, 2:] = layout[:, 1:]
-        got = spec.embed_parameters(layout)
-        assert got.flags.f_contiguous
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-
-@pytest.mark.parametrize("surface", ["tplane", "vplane:nu=0.3,-1,0.5,0.2", "vplane:nu=1,1,0,0",
-                                     "vplane:nu=0,0,-1,0"])
-def test_embed_parameters_on_h2_is_the_index_order_sum_in_both_layouts(h2, surface):
-    spec = parse_surface(h2, surface)
-    coords = np.random.default_rng(44).uniform(-1.0, 1.0, size=(5000, h2.n - 1))
-    coords[:3, : h2.m1 - 1] = -0.0  # signed zero products
-    coords[1, 0] = 0.0
-    want = np.zeros((len(coords), h2.m1))
-    for j in range(h2.m1 - 1):
-        want = want + coords[:, j : j + 1] * spec.frame_perp[j]
-    for layout in (np.ascontiguousarray(coords), np.asfortranarray(coords)):
-        got = spec.embed_parameters(layout)
-        assert got.flags.f_contiguous
-        assert np.array_equal(got[:, : h2.m1].view(np.int64), want.view(np.int64))
-        assert np.array_equal(got[:, h2.m1 :], coords[:, h2.m1 - 1 :])
 
 
 def test_take_rows_is_the_row_gather():
@@ -641,7 +610,7 @@ def whole_draw(spec, t, n_samples, hw, seed, key):
     for batch in box_batches(hw, n_samples, seed, key):
         rows = slice(start, start + len(batch))
         start = rows.stop
-        base = model.multiply(spec.x, spec.embed_parameters(batch))
+        base = model.multiply(spec.x, embed_chart(spec, batch))
         phi, found = _graph_heights(spec, base, BRACKET_FACTOR * t)
         pts[rows] = model.multiply(base, phi[:, None] * e1)
         grads = spec.grad_many(pts[rows])
@@ -761,6 +730,8 @@ PRUNED_CASES = [
     ("h2", "koranyi", "tplane"),
     ("h1", "starball:rho=0.5", "vplane:nu=1,0"),
     ("h1", "twoball", "tplane"),
+    ("h1", "aniso:scale=0.5", "tplane"),
+    ("h1", "aniso:scale=2", "vplane:nu=1,1"),
 ]
 
 
@@ -771,9 +742,9 @@ def test_pruned_cloud_is_the_whole_cloud_restricted(request, group, gauge_spec, 
                                                      reach, shell, monkeypatch):
     # the cloud keeps exactly the ok samples within reach (1 + SCORE_SLACK)
     # of the whole draw, bit for bit, and grows and counts as the whole-cloud
-    # checks do; the lower shell makes the boxes grow.  twoball is no
-    # distance, so a ball within reach may hit beyond it: it keeps every ok
-    # sample
+    # checks do; the lower shell makes the boxes grow.  twoball and aniso
+    # below scale 1 are no distance, so a ball within reach may hit beyond
+    # it: they keep every ok sample
     import carnotperim.surfaces as surfaces_module
 
     monkeypatch.setattr(surfaces_module, "BOX_SHELL", shell)
@@ -794,7 +765,7 @@ def test_pruned_cloud_is_the_whole_cloud_restricted(request, group, gauge_spec, 
     assert not refused
     assert (cloud.failures, cloud.expansions) == (failures, expansions)
     kept = np.flatnonzero(ok)
-    if gauge_spec != "twoball":
+    if gauge.declared_distance:
         kept = np.flatnonzero(ok & gauge.in_ball(pts, radius=reach * t * (1.0 + SCORE_SLACK),
                                                  center=spec.x))
         assert 0 < len(kept) < 0.75 * len(alpha)
